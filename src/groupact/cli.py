@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .checkpoint import load_model, save_model
 from .config import RunConfig, load_run_config
-from .errors import ConfigError, GroupActError, UsageError
+from .errors import ConfigError, DataError, GroupActError, UsageError
 from .evaluation import evaluate_model, write_report
 from .fileio import atomic_write_text, f17
 from .model import (
@@ -139,6 +139,9 @@ def cmd_train(cfg: RunConfig, out_dir: Path, checkpoint: Path | None = None) -> 
         model, start_iter, extras = load_model(checkpoint)
         if model.kind == "late":
             raise UsageError("resume is only supported for single-model checkpoints")
+        if start_iter > cfg.total_iterations:
+            raise UsageError(f"{checkpoint} is at iteration {start_iter}, past total_iterations "
+                             f"{cfg.total_iterations}")
         tc = cfg.train_config()
         optimizer = make_optimizer(tc, model.parameters())
         if any(name.startswith("optim/") for name in extras):
@@ -164,6 +167,8 @@ def cmd_train(cfg: RunConfig, out_dir: Path, checkpoint: Path | None = None) -> 
 def cmd_evaluate(cfg: RunConfig, out_dir: Path, checkpoint: Path) -> int:
     model, _, _ = load_model(checkpoint)
     ds = load_dataset(_require(cfg, "test_data"))
+    if not ds.scenes:
+        raise DataError(f"{cfg.test_data} holds no scenes to evaluate")
     report = evaluate_model(model, ds.scenes, ds.config.num_actions, ds.config.num_activities)
     write_report(report, out_dir)
     print(f"scenes {report.n_scenes}")

@@ -9,12 +9,17 @@ the set, one group-activity logit row.
 Branches can be fused three ways: early by summing embeddings, early by
 concatenating embeddings behind a learned projection, or late by mixing the
 per-branch class probabilities with fixed weights.
+
+Every model runs a minibatch as one forward pass (forward_batch): the
+actors of all scenes are packed into one row matrix, and only attention and
+set pooling look at the scene boundaries. forward(inputs) is the batch of
+one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -22,11 +27,12 @@ from .errors import ConfigError, DataError, ShapeError
 from .posenc import apply_pe
 from .tensor import (
     MODE_INFER,
+    SetLayout,
     Tensor,
     add,
     concat_last_dim,
     matmul,
-    max_over_set,
+    max_over_sets,
     mul,
     reshape,
     softmax_rows,
@@ -108,24 +114,68 @@ class BranchInput:
 
 @dataclass
 class Prediction:
-    """Model outputs for one scene.
+    """Model outputs for one scene, or for a packed batch of scenes.
 
-    action_logits is (n, num_actions) and activity_logits is (num_activities,).
-    Under late fusion both hold mixed post-softmax probabilities instead of raw
-    logits; argmax semantics are unchanged. attention is an AttentionRecord,
-    or a dict keyed by branch under late fusion, or None when not recorded.
+    For one scene, action_logits is (n, num_actions) and activity_logits is
+    (num_activities,). A batch (sizes set to the per-scene actor counts)
+    packs the actors of B scenes: action_logits is (N, num_actions) and
+    activity_logits (B, num_activities). Under late fusion both hold mixed
+    post-softmax probabilities instead of raw logits; argmax semantics are
+    unchanged. attention is an AttentionRecord, or a dict keyed by branch
+    under late fusion, or None when not recorded; a batch holds a list of
+    those, one per scene.
     """
 
     action_logits: Tensor
     activity_logits: Tensor
     attention: object = None
+    sizes: tuple | None = None
 
 
 def predict(pred: Prediction):
-    """(group_activity_id, per-actor action ids); ties go to the lowest id."""
-    group = int(np.argmax(pred.activity_logits.data))
+    """(group_activity_id, per-actor action ids); ties go to the lowest id.
+
+    For a batch: (group ids per scene, action ids per packed actor row).
+    """
+    groups = np.argmax(pred.activity_logits.data, axis=-1)
     actions = np.argmax(pred.action_logits.data, axis=1)
-    return group, actions
+    return (int(groups) if pred.sizes is None else groups), actions
+
+
+def pack_inputs(batch: Sequence[Mapping[str, BranchInput]], feature_dims: Mapping[str, int]):
+    """Stack the scenes' inputs of each branch into one packed BranchInput.
+
+    Returns ({branch: BranchInput over all actors}, per-scene actor counts).
+    Every scene must carry every branch in feature_dims, with that width and
+    one actor count across its branches.
+    """
+    if not batch:
+        raise DataError("a batch needs at least one scene")
+    sizes = []
+    for inputs in batch:
+        missing = [b for b in feature_dims if b not in inputs]
+        if missing:
+            raise DataError(f"scene is missing branches {missing}, has {sorted(inputs)}")
+        n = None
+        for b, dim in feature_dims.items():
+            feats = inputs[b].features
+            if feats.shape[1] != dim:
+                raise ShapeError(f"branch {b!r} expects feature_dim {dim}, got {feats.shape[1]}")
+            if n is not None and feats.shape[0] != n:
+                raise ShapeError(f"branch {b!r} has {feats.shape[0]} actors, expected {n}")
+            n = feats.shape[0]
+        sizes.append(n)
+    packed = {b: BranchInput(np.concatenate([inputs[b].features for inputs in batch]),
+                             np.concatenate([inputs[b].centers for inputs in batch]))
+              for b in feature_dims}
+    return packed, tuple(sizes)
+
+
+def one_scene(pred: Prediction) -> Prediction:
+    """The only scene of a batch of one, as a one-scene Prediction."""
+    g = pred.activity_logits
+    return Prediction(pred.action_logits, reshape(g, (g.shape[1],)),
+                      None if pred.attention is None else pred.attention[0])
 
 
 def embed(features: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -156,20 +206,25 @@ class BranchWeights:
         return out
 
 
-def _heads(encoded: Tensor, action_w: Tensor, activity_w: Tensor):
+def _heads(encoded: Tensor, action_w: Tensor, activity_w: Tensor, sizes):
     action_logits = matmul(encoded, action_w)
-    pooled = reshape(max_over_set(encoded), (1, encoded.shape[1]))
-    activity_logits = reshape(matmul(pooled, activity_w), (activity_w.shape[1],))
+    activity_logits = matmul(max_over_sets(encoded, sizes), activity_w)
     return action_logits, activity_logits
 
 
 def forward_branch(inp: BranchInput, w: BranchWeights, mode=MODE_INFER, rng=None,
-                   record_attention=False) -> Prediction:
+                   record_attention=False, sizes=None) -> Prediction:
+    """One branch's forward pass. With sizes, inp packs that many scenes'
+    actors row after row and the Prediction is a batch."""
     cfg = w.cfg
     if inp.features.shape[1] != cfg.feature_dim:
         raise ShapeError(
             f"branch expects feature_dim {cfg.feature_dim}, got {inp.features.shape[1]}"
         )
+    if sizes is None:
+        return one_scene(forward_branch(inp, w, mode, rng, record_attention,
+                                        (inp.features.shape[0],)))
+    layout = SetLayout.of(sizes, inp.features.shape[0])
     x = Tensor(inp.features)
     if cfg.use_pe and cfg.pe_stage == PE_PRE_EMBED:
         x = apply_pe(x, inp.centers, cfg.pe_scale)
@@ -178,9 +233,9 @@ def forward_branch(inp: BranchInput, w: BranchWeights, mode=MODE_INFER, rng=None
         x = apply_pe(x, inp.centers, cfg.pe_scale)
     rec = None
     if w.encoder is not None:
-        x, rec = encode(x, w.encoder, mode, rng, record_attention)
-    action_logits, activity_logits = _heads(x, w.action_w, w.activity_w)
-    return Prediction(action_logits, activity_logits, rec)
+        x, rec = encode(x, w.encoder, mode, rng, record_attention, layout)
+    action_logits, activity_logits = _heads(x, w.action_w, w.activity_w, layout)
+    return Prediction(action_logits, activity_logits, rec, tuple(layout.sizes.tolist()))
 
 
 class BranchModel:
@@ -193,11 +248,19 @@ class BranchModel:
         self.cfg = cfg
         self.weights = BranchWeights(cfg, rng)
 
+    @property
+    def encoder(self):
+        return self.weights.encoder
+
     def forward(self, inputs: Mapping[str, BranchInput], mode=MODE_INFER, rng=None,
                 record_attention=False) -> Prediction:
-        if self.branch not in inputs:
-            raise DataError(f"scene has no branch {self.branch!r}, only {sorted(inputs)}")
-        return forward_branch(inputs[self.branch], self.weights, mode, rng, record_attention)
+        return one_scene(self.forward_batch([inputs], mode, rng, record_attention))
+
+    def forward_batch(self, batch: Sequence[Mapping[str, BranchInput]], mode=MODE_INFER,
+                      rng=None, record_attention=False) -> Prediction:
+        packed, sizes = pack_inputs(batch, {self.branch: self.cfg.feature_dim})
+        return forward_branch(packed[self.branch], self.weights, mode, rng, record_attention,
+                              sizes)
 
     def parameters(self):
         return self.weights.parameters()
@@ -249,24 +312,19 @@ class EarlyFusionModel:
 
     def forward(self, inputs: Mapping[str, BranchInput], mode=MODE_INFER, rng=None,
                 record_attention=False) -> Prediction:
-        missing = [b for b in self.branches if b not in inputs]
-        if missing:
-            raise DataError(f"scene is missing branches {missing}")
-        first = inputs[self.branches[0]]
-        n = first.features.shape[0]
+        return one_scene(self.forward_batch([inputs], mode, rng, record_attention))
+
+    def forward_batch(self, batch: Sequence[Mapping[str, BranchInput]], mode=MODE_INFER,
+                      rng=None, record_attention=False) -> Prediction:
+        packed, sizes = pack_inputs(batch, self.feature_dims)
+        layout = SetLayout(sizes)
+        centers = packed[self.branches[0]].centers
         embedded = []
         for b in self.branches:
-            inp = inputs[b]
-            if inp.features.shape[0] != n:
-                raise ShapeError(f"branch {b!r} has {inp.features.shape[0]} actors, expected {n}")
-            if inp.features.shape[1] != self.feature_dims[b]:
-                raise ShapeError(
-                    f"branch {b!r} expects feature_dim {self.feature_dims[b]}, got {inp.features.shape[1]}"
-                )
             w, bias = self.embeds[b]
-            e = embed(Tensor(inp.features), w, bias)
+            e = embed(Tensor(packed[b].features), w, bias)
             if self.cfg.use_pe and self.early_pe == EARLY_PE_PER_BRANCH:
-                e = apply_pe(e, inp.centers, self.cfg.pe_scale)
+                e = apply_pe(e, packed[b].centers, self.cfg.pe_scale)
             embedded.append(e)
         if self.combine == "sum":
             x = embedded[0]
@@ -275,12 +333,12 @@ class EarlyFusionModel:
         else:
             x = matmul(concat_last_dim(embedded), self.proj)
         if self.cfg.use_pe and self.early_pe == EARLY_PE_AFTER_FUSION:
-            x = apply_pe(x, first.centers, self.cfg.pe_scale)
+            x = apply_pe(x, centers, self.cfg.pe_scale)
         rec = None
         if self.encoder is not None:
-            x, rec = encode(x, self.encoder, mode, rng, record_attention)
-        action_logits, activity_logits = _heads(x, self.action_w, self.activity_w)
-        return Prediction(action_logits, activity_logits, rec)
+            x, rec = encode(x, self.encoder, mode, rng, record_attention, layout)
+        action_logits, activity_logits = _heads(x, self.action_w, self.activity_w, layout)
+        return Prediction(action_logits, activity_logits, rec, sizes)
 
     def parameters(self):
         out = []
@@ -325,21 +383,26 @@ class LateFusionModel:
 
     def forward(self, inputs: Mapping[str, BranchInput], mode=MODE_INFER, rng=None,
                 record_attention=False) -> Prediction:
+        return one_scene(self.forward_batch([inputs], mode, rng, record_attention))
+
+    def forward_batch(self, batch: Sequence[Mapping[str, BranchInput]], mode=MODE_INFER,
+                      rng=None, record_attention=False) -> Prediction:
         action_mix = None
         activity_mix = None
         recs = {}
         for b in self.branches:
-            pred = self.models[b].forward(inputs, mode, rng, record_attention)
+            pred = self.models[b].forward_batch(batch, mode, rng, record_attention)
             wgt = self.weights[b]
             act = mul(softmax_rows(pred.action_logits), wgt)
-            g = pred.activity_logits
-            grp = mul(softmax_rows(reshape(g, (1, g.shape[0]))), wgt)
+            grp = mul(softmax_rows(pred.activity_logits), wgt)
             action_mix = act if action_mix is None else add(action_mix, act)
             activity_mix = grp if activity_mix is None else add(activity_mix, grp)
-            if record_attention:
-                recs[b] = pred.attention
-        activity_mix = reshape(activity_mix, (activity_mix.shape[1],))
-        return Prediction(action_mix, activity_mix, recs if record_attention else None)
+            recs[b] = pred.attention
+        attention = None
+        if record_attention:
+            attention = [{b: None if recs[b] is None else recs[b][i] for b in self.branches}
+                         for i in range(len(pred.sizes))]
+        return Prediction(action_mix, activity_mix, attention, pred.sizes)
 
     def parameters(self):
         out = []

@@ -77,9 +77,21 @@ def centers_array(centers) -> np.ndarray:
 
 
 def pe_table(centers, d_model: int, scale: float = 100.0) -> np.ndarray:
-    """Stack pe_2d codes for n centers into an (n, d_model) array."""
+    """pe_2d codes for n centers as an (n, d_model) array, computed in one pass."""
+    if d_model <= 0 or d_model % 4 != 0:
+        raise ConfigError(f"pe_2d needs d_model divisible by 4, got {d_model}")
     arr = centers_array(centers)
-    return np.stack([pe_2d(row, d_model, scale) for row in arr])
+    inside = ((arr >= 0.0) & (arr <= 1.0)).all(axis=1)
+    if not inside.all():
+        x, y = arr[~inside][0]
+        raise DataError(f"box center out of [0, 1]: ({x}, {y})")
+    half = d_model // 2
+    # Same expression order as pe_1d, so every code is bit-identical to pe_2d's.
+    angles = (arr * scale)[:, :, None] / np.power(10000.0, np.arange(0, half, 2) / half)
+    out = np.empty((arr.shape[0], 2, half))
+    out[:, :, 0::2] = np.sin(angles)
+    out[:, :, 1::2] = np.cos(angles)
+    return out.reshape(arr.shape[0], d_model)
 
 
 def apply_pe(s: Tensor, centers, scale: float = 100.0) -> Tensor:

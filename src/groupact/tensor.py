@@ -5,7 +5,13 @@ mode is active (as a context manager), every op appends a node holding the
 op name, the input tensors, the output tensor, and a closure that maps the
 output gradient to per-input gradients. backward() walks the tape from the
 loss node toward node 0, accumulating gradients; tensors created outside any
-op (leaves) receive them in .grad.
+op (leaves) receive them in .grad. Leaving the Graph block frees the tape,
+so backward() must run inside it.
+
+A batch of actor sets travels as one packed (N, d) matrix whose rows are the
+actors of scene 0, then scene 1, and so on (a SetLayout records the sizes).
+Row-wise ops need nothing more; set_attention and max_over_sets are the ops
+that work per set.
 
 All values are float64. Any op that produces a NaN or infinity raises
 NumericsError at the op that produced it; the single check lives in the
@@ -55,14 +61,22 @@ class Graph:
         check_mode(mode)
         self.mode = mode
         self.nodes: list[_Node] = []
+        self.closed = False
 
     def __enter__(self):
+        if self.closed:
+            raise UsageError("a Graph block runs once; its tape was freed on exit")
         _GRAPH_STACK.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
         popped = _GRAPH_STACK.pop()
         assert popped is self
+        # Every recorded tensor points back at this graph and the nodes point
+        # at the tensors; dropping the nodes breaks those cycles, so a step's
+        # tape is freed here rather than by the cyclic garbage collector.
+        self.nodes.clear()
+        self.closed = True
         return False
 
     def _record(self, op, inputs, out, vjp):
@@ -119,6 +133,8 @@ class Tensor:
         if self._graph is None:
             raise UsageError("backward() on a tensor with no recorded history")
         graph = self._graph
+        if graph.closed:
+            raise UsageError("backward() after its Graph block exited; the tape is freed")
         # Gradient flowing into each tape node, keyed by node id. The tape is
         # in execution order, so one reverse scan visits every node after all
         # of its consumers.
@@ -305,19 +321,66 @@ def concat_last_dim(parts) -> Tensor:
     return _result("concat_last_dim", np.concatenate([p.data for p in parts], axis=1), tuple(parts), make_vjp)
 
 
-def max_over_set(a: Tensor) -> Tensor:
-    """Columnwise max over the rows of an (n, d) tensor -> (d,).
+class SetLayout:
+    """How B actor sets sit in a packed (N, d) matrix: set i owns the sizes[i]
+    rows starting at offsets[i]. Per-set ops pad to (B, width, d), width the
+    largest set; when every set has that size, padding is a plain reshape.
+    """
 
-    Permutation-invariant pooling over a set of actor embeddings. The
-    gradient flows only to the winning row per column; ties break toward the
-    lowest row index.
+    def __init__(self, sizes):
+        sizes = np.asarray(sizes, dtype=np.int64)
+        if sizes.ndim != 1 or sizes.size == 0:
+            raise ShapeError(f"set sizes must be a non-empty 1-d sequence, got {sizes.tolist()}")
+        if sizes.min() < 1:
+            raise EmptySetError(f"every set needs at least one row, got sizes {sizes.tolist()}")
+        self.sizes = sizes
+        self.count = len(sizes)
+        self.rows = int(sizes.sum())
+        self.width = int(sizes.max())
+        self.offsets = np.cumsum(sizes) - sizes
+        self.uniform = bool((sizes == self.width).all())
+        if not self.uniform:
+            slots = np.arange(self.width)
+            self.mask = slots < sizes[:, None]  # (B, width): real rows
+            self.gather = np.where(self.mask, self.offsets[:, None] + slots, 0)
+
+    @staticmethod
+    def of(sizes, rows: int) -> "SetLayout":
+        """sizes as a SetLayout (None: the rows form one set), checked against rows."""
+        if not isinstance(sizes, SetLayout):
+            sizes = SetLayout((rows,) if sizes is None else sizes)
+        if sizes.rows != rows:
+            raise ShapeError(f"set sizes add up to {sizes.rows} rows, tensor has {rows}")
+        return sizes
+
+    def pad(self, x: np.ndarray, fill: float = 0.0) -> np.ndarray:
+        """(N, d) -> (B, width, d) with padding slots set to fill."""
+        if self.uniform:
+            return x.reshape(self.count, self.width, x.shape[1])
+        return np.where(self.mask[:, :, None], x[self.gather], fill)
+
+    def unpad(self, x: np.ndarray) -> np.ndarray:
+        """(B, width, d) -> (N, d), dropping the padding slots."""
+        if self.uniform:
+            return x.reshape(self.rows, x.shape[2])
+        return x[self.mask]
+
+
+def max_over_sets(a: Tensor, sizes=None) -> Tensor:
+    """Columnwise max over the rows of each packed set: (N, d) -> (B, d).
+
+    Permutation-invariant pooling over sets of actor embeddings. The
+    gradient flows only to the winning row per set and column; ties break
+    toward the lowest row index.
     """
     a = _as_tensor(a)
     if a.ndim != 2:
-        raise ShapeError(f"max_over_set: need a 2-d tensor, got {a.shape}")
+        raise ShapeError(f"max_over_sets: need a 2-d tensor, got {a.shape}")
     if a.shape[0] == 0:
-        raise EmptySetError("max_over_set: empty set")
-    winners = np.argmax(a.data, axis=0)  # first max wins ties
+        raise EmptySetError("max_over_sets: empty set")
+    layout = SetLayout.of(sizes, a.shape[0])
+    slots = np.argmax(layout.pad(a.data, -np.inf), axis=1)  # first max wins ties
+    winners = layout.offsets[:, None] + slots
     cols = np.arange(a.shape[1])
     in_shape = a.shape
 
@@ -329,7 +392,55 @@ def max_over_set(a: Tensor) -> Tensor:
 
         return vjp
 
-    return _result("max_over_set", a.data[winners, cols], (a,), make_vjp)
+    return _result("max_over_sets", a.data[winners, cols], (a,), make_vjp)
+
+
+def max_over_set(a: Tensor) -> Tensor:
+    """Columnwise max over the rows of one (n, d) set -> (d,)."""
+    a = _as_tensor(a)
+    if a.ndim != 2:
+        raise ShapeError(f"max_over_set: need a 2-d tensor, got {a.shape}")
+    return reshape(max_over_sets(a), (a.shape[1],))
+
+
+def set_attention(q: Tensor, k: Tensor, v: Tensor, sizes=None, record=None) -> Tensor:
+    """softmax(Q K^T / sqrt(d_k)) V within each packed set, as one op.
+
+    q, k and v are (N, d_k), (N, d_k) and (N, d_v) packed rows; a row
+    attends only to the rows of its own set. Padding stays inside: the op
+    works on (B, width, d) blocks with padded keys masked out. When record
+    is a list of B lists, set i's (n_i, n_i) weights are appended to
+    record[i].
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2 or q.shape != k.shape:
+        raise ShapeError(f"set_attention: bad Q/K/V shapes {q.shape}, {k.shape}, {v.shape}")
+    if v.shape[0] != k.shape[0]:
+        raise ShapeError(f"set_attention: V shape {v.shape} does not match K {k.shape}")
+    layout = SetLayout.of(sizes, q.shape[0])
+    scale = 1.0 / np.sqrt(q.shape[1])
+    qp, kp, vp = layout.pad(q.data), layout.pad(k.data), layout.pad(v.data)
+    scores = (qp @ kp.transpose(0, 2, 1)) * scale
+    if not layout.uniform:
+        scores = np.where(layout.mask[:, None, :], scores, -np.inf)
+    e = np.exp(scores - scores.max(axis=2, keepdims=True))
+    w = e / e.sum(axis=2, keepdims=True)
+    if record is not None:
+        for i, n in enumerate(layout.sizes):
+            record[i].append(w[i, :n, :n].copy())
+
+    def make_vjp():
+        def vjp(g):
+            gp = layout.pad(g)  # padded query rows get no gradient
+            dw = gp @ vp.transpose(0, 2, 1)
+            dscores = w * (dw - (dw * w).sum(axis=2, keepdims=True)) * scale
+            return (layout.unpad(dscores @ kp),
+                    layout.unpad(dscores.transpose(0, 2, 1) @ qp),
+                    layout.unpad(w.transpose(0, 2, 1) @ gp))
+
+        return vjp
+
+    return _result("set_attention", layout.unpad(w @ vp), (q, k, v), make_vjp)
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -410,13 +521,29 @@ def dropout(a: Tensor, rate: float, mode: str, rng=None) -> Tensor:
     return _result("dropout", a.data * scaled_mask, (a,), make_vjp)
 
 
-def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean softmax cross entropy over rows, via log-sum-exp.
+class DropoutDraws:
+    """The uniform draws of every dropout site of one packed train-mode pass.
 
-    labels is a length-m sequence of int class ids for an (m, c) logits
-    tensor. Returns a 0-d tensor.
+    They come off rng set by set: all of set 0's sites in the order they
+    run, then set 1's, and so on. That is the order running the sets one at
+    a time draws in, so packing a batch changes no mask. dropout() reads
+    this like an rng, one site per call; widths are the per-row mask widths
+    of the sites in the order they run.
     """
-    logits = _as_tensor(logits)
+
+    def __init__(self, rng, sizes, widths):
+        per_set = [[rng.random((n, w)) for w in widths] for n in sizes]
+        self._sites = iter([np.concatenate(site) for site in zip(*per_set)])
+
+    def random(self, shape):
+        draws = next(self._sites, None)
+        if draws is None or draws.shape != tuple(shape):
+            raise UsageError(f"dropout site of shape {tuple(shape)} was not drawn for this pass")
+        return draws
+
+
+def _row_cross_entropy(logits: Tensor, labels):
+    """Checked labels, per-row CE and softmax probabilities of (m, c) logits."""
     if logits.ndim != 2:
         raise ShapeError(f"cross_entropy: need (m, c) logits, got {logits.shape}")
     m, c = logits.shape
@@ -432,17 +559,49 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     e = np.exp(z)
     total = e.sum(axis=1, keepdims=True)
-    log_probs = z - np.log(total)
     rows = np.arange(m)
-    loss = -log_probs[rows, labels].mean()
-    probs = e / total
+    return labels, -(z[rows, labels] - np.log(total[:, 0])), e / total
+
+
+def weighted_cross_entropy(parts):
+    """Row-weighted softmax cross entropy over several logits tensors, as one op.
+
+    parts is a sequence of (logits, labels, weights): (m, c) logits, m int
+    class ids and m row weights (or one weight for every row). Returns the
+    0-d tensor sum over parts and rows of weight * CE(row), and for each part
+    the unweighted per-row CE values as a plain array.
+    """
+    tensors, rows_ce, grads = [], [], []
+    loss = 0.0
+    for logits, labels, weights in parts:
+        logits = _as_tensor(logits)
+        labels, ce, probs = _row_cross_entropy(logits, labels)
+        weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), ce.shape)
+        loss += weights @ ce
+        tensors.append(logits)
+        rows_ce.append(ce)
+        grads.append((probs, labels, weights))
 
     def make_vjp():
         def vjp(g):
-            dx = probs.copy()
-            dx[rows, labels] -= 1.0
-            return (dx * (g / m),)
+            out = []
+            for probs, labels, weights in grads:
+                dx = probs.copy()
+                dx[np.arange(len(labels)), labels] -= 1.0
+                out.append(dx * (weights * g)[:, None])
+            return tuple(out)
 
         return vjp
 
-    return _result("cross_entropy", loss, (logits,), make_vjp)
+    return _result("weighted_cross_entropy", loss, tuple(tensors), make_vjp), rows_ce
+
+
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Mean softmax cross entropy over rows, via log-sum-exp.
+
+    labels is a length-m sequence of int class ids for an (m, c) logits
+    tensor. Returns a 0-d tensor.
+    """
+    logits = _as_tensor(logits)
+    m = logits.shape[0] if logits.ndim == 2 else 0
+    return weighted_cross_entropy([(logits, labels, 1.0 / max(m, 1))])[0]

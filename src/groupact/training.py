@@ -2,8 +2,9 @@
 
 The loss for one scene is lambda_g * CE(activity) + lambda_a * CE(actions),
 with the action term averaged over the scene's actors; a batch averages the
-scene losses. Optimizers are plain SGD with momentum and Adam, with a
-piecewise-constant learning-rate schedule.
+scene losses. Each step runs the whole minibatch as one packed forward pass,
+one loss node and one backward pass. Optimizers are plain SGD with momentum
+and Adam, with a piecewise-constant learning-rate schedule.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ import numpy as np
 
 from .errors import ConfigError, NumericsError, ParseError, TrainingDiverged, UsageError
 from .fileio import atomic_write_text, f17
-from .model import branch_inputs
+from .model import Prediction, branch_inputs
 from .seeding import DROPOUT, SHUFFLE, rng_for
-from .tensor import MODE_TRAIN, Graph, Tensor, add, cross_entropy, mul, reshape
+from .tensor import MODE_TRAIN, DropoutDraws, Graph, Tensor, reshape, weighted_cross_entropy
+from .transformer import dropout_widths
 
 OPT_SGD_MOMENTUM = "sgd-momentum"
 OPT_ADAM = "adam"
@@ -80,17 +82,31 @@ def lr_at(schedule, iteration: int) -> float:
     return current
 
 
-def loss_terms(pred, activity_label: int, action_labels):
-    """(activity CE, mean per-actor action CE) as 0-d tensors."""
+def loss_terms(pred: Prediction, activity_labels, action_labels, lambda_g=1.0, lambda_a=1.0):
+    """Joint loss of a batch Prediction as one tape node, and its two terms.
+
+    activity_labels holds one label per scene, action_labels one per packed
+    actor row. Returns (loss, activity CE, action CE): loss is the mean over
+    scenes of lambda_g * CE(activity) + lambda_a * (mean CE over the scene's
+    actors), and the two floats are those means unweighted.
+    """
+    sizes = np.asarray(pred.sizes)
+    scenes = len(sizes)
+    actor_w = np.repeat(1.0 / (scenes * sizes), sizes)
+    loss, (ce_g, ce_a) = weighted_cross_entropy([
+        (pred.activity_logits, activity_labels, lambda_g / scenes),
+        (pred.action_logits, action_labels, lambda_a * actor_w),
+    ])
+    return loss, float(ce_g.mean()), float(actor_w @ ce_a)
+
+
+def joint_loss(pred: Prediction, activity_label, action_labels, lambda_g=1.0,
+               lambda_a=1.0) -> Tensor:
+    """Joint loss of a one-scene Prediction."""
     g = pred.activity_logits
-    ce_g = cross_entropy(reshape(g, (1, g.shape[0])), np.array([activity_label]))
-    ce_a = cross_entropy(pred.action_logits, np.asarray(action_labels))
-    return ce_g, ce_a
-
-
-def joint_loss(pred, activity_label, action_labels, lambda_g=1.0, lambda_a=1.0) -> Tensor:
-    ce_g, ce_a = loss_terms(pred, activity_label, action_labels)
-    return add(mul(ce_g, lambda_g), mul(ce_a, lambda_a))
+    batch = Prediction(pred.action_logits, reshape(g, (1, g.shape[0])),
+                       sizes=(pred.action_logits.shape[0],))
+    return loss_terms(batch, [activity_label], np.asarray(action_labels), lambda_g, lambda_a)[0]
 
 
 def sgd_momentum_step(params, velocity: dict, lr: float, momentum: float) -> None:
@@ -257,34 +273,33 @@ def train(model, scenes, cfg: TrainConfig, *, start_iteration: int = 0, optimize
     params = model.parameters()
     if optimizer is None:
         optimizer = make_optimizer(cfg, params)
-    dropout_rng = rng_for(cfg.seed, DROPOUT)
     stream = _SceneStream(len(scenes), rng_for(cfg.seed, SHUFFLE))
-    stream.skip(start_iteration * cfg.batch_size)
+    # One dropout stream serves the whole run. A resumed run advances it
+    # past every draw of the iterations before start_iteration, so it
+    # continues with the masks the straight run would draw.
+    widths = dropout_widths(model.encoder)
+    dropout_rng = rng_for(cfg.seed, DROPOUT)
+    skipped = stream.take(start_iteration * cfg.batch_size)
+    dropout_rng.bit_generator.advance(sum(scenes[i].n_actors for i in skipped) * sum(widths))
     curve = LossCurve()
-    inv_batch = 1.0 / cfg.batch_size
     for it in range(start_iteration, cfg.total_iterations):
         lr = lr_at(cfg.lr_schedule, it)
         optimizer.zero_grads()
-        batch = stream.take(cfg.batch_size)
+        batch = [scenes[idx] for idx in stream.take(cfg.batch_size)]
+        draws = DropoutDraws(dropout_rng, [scene.n_actors for scene in batch], widths)
         try:
             with Graph(MODE_TRAIN):
-                total = None
-                sum_g = 0.0
-                sum_a = 0.0
-                for idx in batch:
-                    scene = scenes[idx]
-                    pred = model.forward(branch_inputs(scene), MODE_TRAIN, dropout_rng)
-                    ce_g, ce_a = loss_terms(pred, scene.activity, scene.actions)
-                    term = add(mul(ce_g, cfg.lambda_g), mul(ce_a, cfg.lambda_a))
-                    total = term if total is None else add(total, term)
-                    sum_g += ce_g.item()
-                    sum_a += ce_a.item()
-                loss = mul(total, inv_batch)
+                pred = model.forward_batch([branch_inputs(scene) for scene in batch],
+                                           MODE_TRAIN, draws)
+                loss, ce_g, ce_a = loss_terms(
+                    pred, [scene.activity for scene in batch],
+                    np.concatenate([scene.actions for scene in batch]),
+                    cfg.lambda_g, cfg.lambda_a)
                 loss.backward()
         except NumericsError as exc:
             raise TrainingDiverged(
                 f"non-finite loss at iteration {it} (lr {lr}): {exc}"
             ) from exc
         optimizer.step(lr)
-        curve.append(it, lr, loss.item(), sum_g * inv_batch, sum_a * inv_batch)
+        curve.append(it, lr, loss.item(), ce_g, ce_a)
     return curve

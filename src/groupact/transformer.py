@@ -4,6 +4,11 @@ One layer is: multi-head self-attention with a residual connection and layer
 norm, then a two-linear feed-forward block (ReLU between, dropout inside)
 with its own residual and layer norm. The three dropout sites (attention
 output, inner feed-forward activation, feed-forward output) share one rate.
+
+The encoder runs on packed actor sets: s holds the actors of several scenes
+row after row, and the optional sizes argument (a sequence of per-scene
+actor counts, or a SetLayout) keeps attention inside each scene. Without
+sizes, the rows are one scene.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .tensor import (
     MODE_INFER,
+    SetLayout,
     Tensor,
     add,
     check_mode,
@@ -25,6 +31,7 @@ from .tensor import (
     matmul,
     mul,
     relu,
+    set_attention,
     softmax_rows,
     transpose,
 )
@@ -83,7 +90,10 @@ class AttentionRecord:
 
 
 def attention_weights(q: Tensor, k: Tensor) -> Tensor:
-    """softmax(Q K^T / sqrt(d_k)) with the scale taken from q's width."""
+    """softmax(Q K^T / sqrt(d_k)) with the scale taken from q's width.
+
+    The one-scene reference for set_attention, which the encoder uses.
+    """
     if q.ndim != 2 or k.ndim != 2 or q.shape[1] != k.shape[1]:
         raise ShapeError(f"attention: bad Q/K shapes {q.shape} and {k.shape}")
     scores = mul(matmul(q, transpose(k)), 1.0 / math.sqrt(q.shape[1]))
@@ -153,18 +163,16 @@ class EncoderWeights:
         return out
 
 
-def multi_head(s: Tensor, w: EncoderLayerWeights, record=None) -> Tensor:
+def multi_head(s: Tensor, w: EncoderLayerWeights, record=None, sizes=None) -> Tensor:
     """Concatenated per-head attention, then the output projection.
 
     When record is a list, each head's (n, n) attention matrix is appended
-    to it as a plain array.
+    to it as a plain array; with sizes, record is one such list per scene.
     """
-    heads = []
-    for wq, wk, wv in zip(w.w_q, w.w_k, w.w_v):
-        aw = attention_weights(matmul(s, wq), matmul(s, wk))
-        if record is not None:
-            record.append(aw.data.copy())
-        heads.append(matmul(aw, matmul(s, wv)))
+    layout = SetLayout.of(sizes, s.shape[0])
+    per_scene = None if record is None else (record if sizes is not None else [record])
+    heads = [set_attention(matmul(s, wq), matmul(s, wk), matmul(s, wv), layout, per_scene)
+             for wq, wk, wv in zip(w.w_q, w.w_k, w.w_v)]
     merged = heads[0] if len(heads) == 1 else concat_last_dim(heads)
     return matmul(merged, w.attn_out)
 
@@ -174,27 +182,49 @@ def feed_forward(s: Tensor, w: EncoderLayerWeights, rate, mode, rng=None) -> Ten
     return add(matmul(inner, w.ff2_w), w.ff2_b)
 
 
-def encoder_layer(s: Tensor, w: EncoderLayerWeights, rate, mode, rng=None, record=None) -> Tensor:
+def encoder_layer(s: Tensor, w: EncoderLayerWeights, rate, mode, rng=None, record=None,
+                  sizes=None) -> Tensor:
     """One encoder layer: attention sublayer, then feed-forward sublayer.
 
     Dropout draws, in order: attention output, feed-forward inner, feed-
-    forward output.
+    forward output; each site asks rng for one mask over all packed rows
+    (training passes a DropoutDraws, which keeps the one-scene-at-a-time
+    stream order).
     """
     check_mode(mode)
-    attended = layer_norm(add(s, dropout(multi_head(s, w, record), rate, mode, rng)), w.ln1_gain, w.ln1_bias)
+    attended = layer_norm(add(s, dropout(multi_head(s, w, record, sizes), rate, mode, rng)),
+                          w.ln1_gain, w.ln1_bias)
     ff = feed_forward(attended, w, rate, mode, rng)
     return layer_norm(add(attended, dropout(ff, rate, mode, rng)), w.ln2_gain, w.ln2_bias)
 
 
-def encode(s: Tensor, weights: EncoderWeights, mode=MODE_INFER, rng=None, record_attention=False):
-    """Run the full stack. Returns (output, AttentionRecord | None)."""
+def dropout_widths(weights: EncoderWeights | None) -> tuple:
+    """Width of each dropout mask one actor row draws in a train-mode pass
+    of the stack, in draw order (see encoder_layer); empty without dropout."""
+    if weights is None or weights.cfg.dropout == 0.0:
+        return ()
+    cfg = weights.cfg
+    return (cfg.d_model, cfg.d_ff, cfg.d_model) * cfg.num_layers
+
+
+def encode(s: Tensor, weights: EncoderWeights, mode=MODE_INFER, rng=None, record_attention=False,
+           sizes=None):
+    """Run the full stack. Returns (output, attention).
+
+    attention is None unless record_attention; then it is an AttentionRecord,
+    or with sizes a list of them, one per scene.
+    """
     cfg = weights.cfg
     if s.ndim != 2 or s.shape[1] != cfg.d_model:
         raise ShapeError(f"encode: need (n, {cfg.d_model}) input, got {s.shape}")
-    rec = AttentionRecord() if record_attention else None
+    layout = SetLayout.of(sizes, s.shape[0])
+    recs = [AttentionRecord() for _ in range(layout.count)] if record_attention else None
     for layer in weights.layers:
-        per_layer = [] if record_attention else None
-        s = encoder_layer(s, layer, cfg.dropout, mode, rng, per_layer)
+        per_scene = [[] for _ in range(layout.count)] if record_attention else None
+        s = encoder_layer(s, layer, cfg.dropout, mode, rng, per_scene, layout)
         if record_attention:
-            rec.matrices.append(per_layer)
-    return s, rec
+            for rec, matrices in zip(recs, per_scene):
+                rec.matrices.append(matrices)
+    if recs is not None and sizes is None:
+        return s, recs[0]
+    return s, recs

@@ -219,3 +219,30 @@ def test_attention_dump_needs_an_encoder(tmp_path, capsys):
     assert main(["attention-dump", "--config", str(cfg), "--out", str(tmp_path / "x"),
                  "--checkpoint", str(run / "model.ckpt")]) == 1
     assert "encoder" in capsys.readouterr().err
+
+
+def test_resume_past_total_iterations_is_refused(tmp_path, capsys):
+    data = _generate(tmp_path)
+    head = _train(tmp_path, data, out="head", iters=10)
+    cfg = _write_cfg(tmp_path, "short.cfg",
+                     f"train_data = {data / 'train.scenes'}\ntotal_iterations = 5\n")
+    args = ["train", "--config", str(cfg), "--out", str(tmp_path / "short"),
+            "--checkpoint", str(head / "model.ckpt")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "iteration 10" in err and "total_iterations 5" in err
+    assert not (tmp_path / "short" / "model.ckpt").exists()
+
+
+def test_evaluate_on_an_empty_test_split_fails(tmp_path, capsys):
+    gen = tmp_path / "all-train.cfg"
+    gen.write_text(BASE.replace("train_fraction = 0.72", "train_fraction = 1.0"))
+    data = tmp_path / "data"
+    assert main(["generate", "--config", str(gen), "--out", str(data)]) == 0
+    run = _train(tmp_path, data, iters=2)
+    cfg = _write_cfg(tmp_path, "eval.cfg", f"test_data = {data / 'test.scenes'}\n")
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--config", str(cfg), "--out", str(out),
+                 "--checkpoint", str(run / "model.ckpt")]) == 1
+    assert str(data / "test.scenes") in capsys.readouterr().err
+    assert not out.exists()

@@ -120,3 +120,13 @@ def test_equal_centers_keep_encoder_equivariance():
     base = _encoded(x, weights, centers)
     perm = rng.permutation(5)
     npt.assert_allclose(_encoded(x[perm], weights, centers), base[perm], atol=1e-9)
+
+
+def test_pe_table_is_bit_identical_to_stacked_pe_2d():
+    centers = np.random.default_rng(3).random((50, 2))
+    centers[0] = (0.0, 1.0)
+    for d in (8, 16, 32, 64):
+        want = np.stack([pe_2d(c, d, scale=37.5) for c in centers])
+        assert np.array_equal(pe_table(centers, d, scale=37.5), want)
+    with pytest.raises(DataError):
+        pe_table(np.array([[0.5, 0.5], [0.2, 1.5]]), 8)

@@ -382,3 +382,18 @@ def test_composed_graph_gradcheck():
         return add(cross_entropy(h, np.array([0, 1, 2, 3])), sum_all(mul(pooled, 0.5)))
 
     check_gradients(loss, [("x", x), ("w1", w1), ("gain", gain), ("bias", bias)])
+
+
+def test_graph_exit_frees_the_tape():
+    w = Tensor(np.ones(3), requires_grad=True)
+    with Graph(MODE_TRAIN) as g:
+        loss = sum_all(mul(w, 2.0))
+        assert len(g.nodes) == 2
+        loss.backward()
+    assert g.nodes == []
+    npt.assert_array_equal(w.grad, [2.0, 2.0, 2.0])
+    with pytest.raises(UsageError):
+        loss.backward()
+    with pytest.raises(UsageError):
+        with g:
+            pass

@@ -271,3 +271,45 @@ def test_train_diverges_with_huge_lr():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDiverged, match="iteration"):
             train(_model(12), scenes, cfg)
+
+
+def test_train_resume_with_dropout_matches_straight_run():
+    # ragged scenes, so skipping the dropout draws of earlier batches must
+    # count each batch's actors
+    cfg_s = SceneConfig(rule="key-actor-side", num_actions=3, num_activities=2,
+                        n_actors=(1, 6), branch_dims={"static": 8}, noise=0.5, seed=13)
+    scenes = generate(cfg_s, 30).scenes
+    cfg = TrainConfig(optimizer="adam", lr_schedule=((0, 0.01),), total_iterations=10,
+                      batch_size=4, seed=3)
+
+    straight = _model(8, dropout=0.1)
+    full_curve = train(straight, scenes, cfg)
+
+    resumed = _model(8, dropout=0.1)
+    opt = make_optimizer(cfg, resumed.parameters())
+    head = train(resumed, scenes, replace(cfg, total_iterations=6), optimizer=opt)
+    tail = train(resumed, scenes, cfg, start_iteration=6, optimizer=opt)
+
+    assert head.rows + tail.rows == full_curve.rows
+    for (name, a), (_, b) in zip(straight.parameters(), resumed.parameters()):
+        npt.assert_array_equal(a.data, b.data, err_msg=name)
+
+
+def test_train_leaves_no_garbage_cycles():
+    import gc
+
+    cfg_s = SceneConfig(rule="key-actor-side", num_actions=9, num_activities=8, n_actors=12,
+                        branch_dims={"static": 16}, noise=0.5, seed=0)
+    scenes = generate(cfg_s, 64).scenes
+    model = _model(0, feature_dim=16, num_actions=9, num_activities=8, d_model=32, d_ff=64,
+                   dropout=0.1)
+    cfg = TrainConfig(optimizer="adam", lr_schedule=((0, 0.01),), total_iterations=10,
+                      batch_size=16)
+    gc.collect()
+    gc.disable()
+    try:
+        train(model, scenes, cfg)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found < 100
