@@ -33,8 +33,6 @@ from .scenes import (
     SceneConfig,
     SceneDataset,
     generate,
-    generate_collective_like,
-    generate_volleyball_like,
     load_dataset,
     save_dataset,
 )

@@ -16,13 +16,15 @@ place so a crash never leaves a half-written checkpoint behind.
 
 from __future__ import annotations
 
-import os
+import math
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ParseError
+from .errors import ConfigError, DataError, ParseError
+from .fileio import atomic_write
 from .model import (
     BranchConfig,
     BranchModel,
@@ -34,10 +36,14 @@ from .seeding import rng_for
 MAGIC = b"GACK"
 VERSION = 1
 
-_BOOL_FIELDS = ("use_pe", "use_encoder")
-_INT_FIELDS = ("feature_dim", "num_actions", "num_activities", "d_model", "num_heads", "num_layers", "d_ff")
-_FLOAT_FIELDS = ("dropout", "pe_scale")
-_STR_FIELDS = ("pe_stage",)
+# BranchConfig field annotation (a string, see model.py's future import)
+# -> (encode, decode) of its metadata value
+_CODECS = {
+    "int": (str, int),
+    "float": (repr, float),
+    "bool": (lambda v: str(int(v)), lambda text: bool(int(text))),
+    "str": (str, str),
+}
 
 
 def write_checkpoint(path, meta: dict, tensors) -> None:
@@ -58,17 +64,16 @@ def write_checkpoint(path, meta: dict, tensors) -> None:
         parts.append(struct.pack("<I", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
         parts.append(arr.tobytes())
-    blob = b"".join(parts)
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(blob)
-    os.replace(tmp, path)
+    atomic_write(path, b"".join(parts))
 
 
 class _Reader:
     def __init__(self, path):
         self.path = path
-        self.buf = Path(path).read_bytes()
+        try:
+            self.buf = Path(path).read_bytes()
+        except OSError as exc:
+            raise ParseError(path, 0, f"cannot read checkpoint: {exc.strerror}") from None
         self.pos = 0
 
     def take(self, n):
@@ -82,7 +87,10 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
     def string(self):
-        return self.take(self.u32()).decode()
+        try:
+            return self.take(self.u32()).decode()
+        except UnicodeDecodeError:
+            raise ParseError(self.path, 0, "checkpoint string is not utf-8") from None
 
 
 def read_checkpoint(path):
@@ -102,7 +110,7 @@ def read_checkpoint(path):
         name = r.string()
         ndim = r.u32()
         shape = struct.unpack(f"<{ndim}Q", r.take(8 * ndim))
-        count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
+        count = math.prod(shape)  # Python ints: a forged shape cannot overflow
         arr = np.frombuffer(r.take(8 * count), dtype="<f8").reshape(shape).copy()
         tensors.append((name, arr))
     if r.pos != len(r.buf):
@@ -111,32 +119,12 @@ def read_checkpoint(path):
 
 
 def _cfg_meta(prefix: str, cfg: BranchConfig) -> dict:
-    out = {}
-    for name in _INT_FIELDS:
-        out[prefix + name] = str(getattr(cfg, name))
-    for name in _FLOAT_FIELDS:
-        out[prefix + name] = repr(getattr(cfg, name))
-    for name in _BOOL_FIELDS:
-        out[prefix + name] = "1" if getattr(cfg, name) else "0"
-    for name in _STR_FIELDS:
-        out[prefix + name] = getattr(cfg, name)
-    return out
+    return {prefix + f.name: _CODECS[f.type][0](getattr(cfg, f.name)) for f in fields(cfg)}
 
 
-def _cfg_from_meta(prefix: str, meta: dict, path) -> BranchConfig:
-    kwargs = {}
-    try:
-        for name in _INT_FIELDS:
-            kwargs[name] = int(meta[prefix + name])
-        for name in _FLOAT_FIELDS:
-            kwargs[name] = float(meta[prefix + name])
-        for name in _BOOL_FIELDS:
-            kwargs[name] = meta[prefix + name] == "1"
-        for name in _STR_FIELDS:
-            kwargs[name] = meta[prefix + name]
-    except KeyError as exc:
-        raise ParseError(path, 0, f"checkpoint is missing config key {exc}") from None
-    return BranchConfig(**kwargs)
+def _cfg_from_meta(prefix: str, meta: dict) -> BranchConfig:
+    return BranchConfig(**{f.name: _CODECS[f.type][1](meta[prefix + f.name])
+                           for f in fields(BranchConfig)})
 
 
 def save_model(path, model, *, iteration: int = 0, extra_meta=None, extra_tensors=()) -> None:
@@ -188,28 +176,32 @@ def load_model(path):
         raise ParseError(path, 0, "duplicate tensor names in checkpoint")
     kind = meta.get("kind")
     rng = rng_for(0, "init")  # shapes only; every value is overwritten below
-    if kind == "branch":
-        model = BranchModel(meta["branch"], _cfg_from_meta("cfg.", meta, path), rng)
-    elif kind in ("early-sum", "early-concat"):
-        branches = meta["branches"].split(",")
-        fdims = {b: int(meta[f"fdim.{b}"]) for b in branches}
-        model = EarlyFusionModel(
-            kind.removeprefix("early-"),
-            fdims,
-            _cfg_from_meta("cfg.", meta, path),
-            rng,
-            early_pe=meta["early_pe"],
-        )
-    elif kind == "late":
-        branches = meta["branches"].split(",")
-        models = {
-            b: BranchModel(b, _cfg_from_meta(f"cfg.{b}.", meta, path), rng) for b in branches
-        }
-        weights = {b: float(meta[f"late_weight.{b}"]) for b in branches}
-        model = LateFusionModel(models, weights)
-    else:
-        raise ParseError(path, 0, f"unknown model kind {kind!r}")
+    try:
+        if kind == "branch":
+            model = BranchModel(meta["branch"], _cfg_from_meta("cfg.", meta), rng)
+        elif kind in ("early-sum", "early-concat"):
+            branches = meta["branches"].split(",")
+            fdims = {b: int(meta[f"fdim.{b}"]) for b in branches}
+            model = EarlyFusionModel(
+                kind.removeprefix("early-"),
+                fdims,
+                _cfg_from_meta("cfg.", meta),
+                rng,
+                early_pe=meta["early_pe"],
+            )
+        elif kind == "late":
+            branches = meta["branches"].split(",")
+            models = {b: BranchModel(b, _cfg_from_meta(f"cfg.{b}.", meta), rng) for b in branches}
+            weights = {b: float(meta[f"late_weight.{b}"]) for b in branches}
+            model = LateFusionModel(models, weights)
+        else:
+            raise ParseError(path, 0, f"unknown model kind {kind!r}")
+        iteration = int(meta.get("iteration", "0"))
+    except KeyError as exc:
+        raise ParseError(path, 0, f"checkpoint is missing metadata key {exc}") from None
+    except (ValueError, ConfigError) as exc:
+        raise ParseError(path, 0, f"bad checkpoint metadata: {exc}") from None
     _restore_parameters(model, stored, path)
     param_names = {name for name, _ in model.parameters()}
     extras = {name: arr for name, arr in stored.items() if name not in param_names}
-    return model, int(meta.get("iteration", "0")), extras
+    return model, iteration, extras

@@ -4,15 +4,20 @@ One `key = value` per line, `#` starts a comment. Unknown keys are rejected,
 as are duplicates within a file. Command-line flags (currently just the
 seed) override file values. The same RunConfig feeds every subcommand; each
 command checks the keys it actually needs.
+
+RunConfig declares every key once, as a field that carries its parser. A
+default that a component config owns is read from that class; the literal
+ones are the CLI's own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
 from .model import (
+    DEFAULT_LATE_WEIGHTS,
     EARLY_PE_AFTER_FUSION,
     EARLY_PE_PER_BRANCH,
     FUSION_MODES,
@@ -21,7 +26,7 @@ from .model import (
     PE_PRE_EMBED,
     BranchConfig,
 )
-from .scenes import RULES, SceneConfig
+from .scenes import RULE_KEY_ACTOR, RULES, SceneConfig
 from .training import OPT_ADAM, OPT_SGD_MOMENTUM, TrainConfig
 
 
@@ -56,64 +61,41 @@ def _parse_actor_range(text: str):
     return _parse_int(t)
 
 
-def _parse_branch_dims(text: str) -> dict:
-    out = {}
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if ":" not in item:
-            raise ConfigError(f"branches entries look like name:dim, got {item!r}")
-        name, dim = item.split(":", 1)
-        out[name.strip()] = _parse_int(dim)
-    if not out:
-        raise ConfigError("branches must name at least one branch")
-    return out
-
-
-def _parse_weights(text: str) -> dict:
-    out = {}
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if ":" not in item:
-            raise ConfigError(f"late_weights entries look like name:weight, got {item!r}")
-        name, w = item.split(":", 1)
-        out[name.strip()] = _parse_float(w)
-    return out
-
-
-def _parse_schedule(text: str) -> tuple:
+def _colon_pairs(text: str, key: str, shape: str) -> list:
+    """The `a:b` items of a comma-separated list, split at the first colon."""
     out = []
     for item in text.split(","):
         item = item.strip()
         if not item:
             continue
         if ":" not in item:
-            raise ConfigError(f"lr_schedule entries look like iteration:lr, got {item!r}")
-        it, lr = item.split(":", 1)
-        out.append((_parse_int(it), _parse_float(lr)))
+            raise ConfigError(f"{key} entries look like {shape}, got {item!r}")
+        a, b = item.split(":", 1)
+        out.append((a.strip(), b))
+    return out
+
+
+def _parse_branch_dims(text: str) -> dict:
+    out = {name: _parse_int(dim) for name, dim in _colon_pairs(text, "branches", "name:dim")}
     if not out:
-        raise ConfigError("lr_schedule must not be empty")
-    if out[0][0] != 0:
-        raise ConfigError(f"lr_schedule must start at iteration 0, got {out[0][0]}")
-    for (a, _), (b, _) in zip(out, out[1:]):
-        if b <= a:
-            raise ConfigError(f"lr_schedule iterations must increase, got {a} then {b}")
-    return tuple(out)
+        raise ConfigError("branches must name at least one branch")
+    return out
 
 
-def _parse_int_list(text: str) -> tuple:
-    return tuple(_parse_int(c) for c in text.split(",") if c.strip())
+def _parse_weights(text: str) -> dict:
+    return {name: _parse_float(w) for name, w in _colon_pairs(text, "late_weights", "name:weight")}
 
 
-def _parse_bool_list(text: str) -> tuple:
-    return tuple(_parse_bool(c) for c in text.split(",") if c.strip())
+def _parse_schedule(text: str) -> tuple:
+    pairs = _colon_pairs(text, "lr_schedule", "iteration:lr")
+    schedule = [(_parse_int(it), _parse_float(lr)) for it, lr in pairs]
+    # TrainConfig holds the schedule rules; check them while the key is named.
+    return TrainConfig(lr_schedule=schedule).lr_schedule
 
 
-def _parse_str_list(text: str) -> tuple:
-    return tuple(c.strip() for c in text.split(",") if c.strip())
+def _list_of(parse):
+    """Parser of a comma-separated list; blank items are skipped."""
+    return lambda text: tuple(parse(c) for c in text.split(",") if c.strip())
 
 
 def _choice(options):
@@ -130,161 +112,86 @@ def _identity(text: str) -> str:
     return text.strip()
 
 
-# key -> (parser, default). The dataclass below must list exactly these names.
-_SCHEMA = {
-    # scene generation
-    "rule": (_choice(RULES), "key-actor-side"),
-    "num_actions": (_parse_int, 9),
-    "num_activities": (_parse_int, 8),
-    "n_actors": (_parse_actor_range, 12),
-    "branches": (_parse_branch_dims, {"static": 16}),
-    "noise": (_parse_float, 0.5),
-    "complementary": (_parse_bool, False),
-    "corrupt_prob": (_parse_float, 0.0),
-    "t_frames": (_parse_int, 10),
-    "scene_count": (_parse_int, 0),
-    "train_fraction": (_parse_float, 0.723),
-    # model
-    "d_model": (_parse_int, 128),
-    "num_heads": (_parse_int, 1),
-    "num_layers": (_parse_int, 1),
-    "d_ff": (_parse_int, 256),
-    "dropout": (_parse_float, 0.1),
-    "use_pe": (_parse_bool, True),
-    "pe_scale": (_parse_float, 100.0),
-    "pe_stage": (_choice((PE_POST_EMBED, PE_PRE_EMBED)), PE_POST_EMBED),
-    "use_encoder": (_parse_bool, True),
-    "fusion": (_choice(FUSION_MODES), FUSION_NONE),
-    "branch": (_identity, "static"),
-    "fusion_branches": (_parse_str_list, ()),
-    "late_weights": (_parse_weights, {"static": 2.0, "dynamic-rgb": 1.0, "dynamic-flow": 1.0}),
-    "early_pe": (_choice((EARLY_PE_AFTER_FUSION, EARLY_PE_PER_BRANCH)), EARLY_PE_AFTER_FUSION),
-    # training
-    "optimizer": (_choice((OPT_SGD_MOMENTUM, OPT_ADAM)), OPT_SGD_MOMENTUM),
-    "momentum": (_parse_float, 0.9),
-    "beta1": (_parse_float, 0.9),
-    "beta2": (_parse_float, 0.999),
-    "adam_eps": (_parse_float, 1e-10),
-    "lr_schedule": (_parse_schedule, ((0, 0.01),)),
-    "batch_size": (_parse_int, 16),
-    "total_iterations": (_parse_int, 0),
-    "lambda_g": (_parse_float, 1.0),
-    "lambda_a": (_parse_float, 1.0),
-    "seed": (_parse_int, 0),
-    # data files
-    "train_data": (_identity, ""),
-    "test_data": (_identity, ""),
-    "scene_ids": (_parse_int_list, ()),
-    # ablation axes; empty means "keep the configured value"
-    "ablate_layers": (_parse_int_list, ()),
-    "ablate_heads": (_parse_int_list, ()),
-    "ablate_pe": (_parse_bool_list, ()),
-    "ablate_encoder": (_parse_bool_list, ()),
-    "ablate_fusion": (_parse_str_list, ()),
-    "ablate_seeds": (_parse_int_list, ()),
-}
+def _key(parse, default):
+    """One config key: a RunConfig field that carries its value parser."""
+    if isinstance(default, dict):
+        return field(default_factory=lambda: dict(default), metadata={"parse": parse})
+    return field(default=default, metadata={"parse": parse})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    rule: str
-    num_actions: int
-    num_activities: int
-    n_actors: object
-    branches: dict
-    noise: float
-    complementary: bool
-    corrupt_prob: float
-    t_frames: int
-    scene_count: int
-    train_fraction: float
-    d_model: int
-    num_heads: int
-    num_layers: int
-    d_ff: int
-    dropout: float
-    use_pe: bool
-    pe_scale: float
-    pe_stage: str
-    use_encoder: bool
-    fusion: str
-    branch: str
-    fusion_branches: tuple
-    late_weights: dict
-    early_pe: str
-    optimizer: str
-    momentum: float
-    beta1: float
-    beta2: float
-    adam_eps: float
-    lr_schedule: tuple
-    batch_size: int
-    total_iterations: int
-    lambda_g: float
-    lambda_a: float
-    seed: int
-    train_data: str
-    test_data: str
-    scene_ids: tuple
-    ablate_layers: tuple
-    ablate_heads: tuple
-    ablate_pe: tuple
-    ablate_encoder: tuple
-    ablate_fusion: tuple
-    ablate_seeds: tuple
+    # scene generation
+    rule: str = _key(_choice(RULES), RULE_KEY_ACTOR)
+    num_actions: int = _key(_parse_int, 9)
+    num_activities: int = _key(_parse_int, 8)
+    n_actors: object = _key(_parse_actor_range, SceneConfig.n_actors)
+    branches: dict = _key(_parse_branch_dims,
+                          SceneConfig.__dataclass_fields__["branch_dims"].default_factory())
+    noise: float = _key(_parse_float, SceneConfig.noise)
+    complementary: bool = _key(_parse_bool, SceneConfig.complementary)
+    corrupt_prob: float = _key(_parse_float, SceneConfig.corrupt_prob)
+    scene_count: int = _key(_parse_int, 0)
+    train_fraction: float = _key(_parse_float, 0.723)
+    # model
+    d_model: int = _key(_parse_int, BranchConfig.d_model)
+    num_heads: int = _key(_parse_int, BranchConfig.num_heads)
+    num_layers: int = _key(_parse_int, BranchConfig.num_layers)
+    d_ff: int = _key(_parse_int, BranchConfig.d_ff)
+    dropout: float = _key(_parse_float, BranchConfig.dropout)
+    use_pe: bool = _key(_parse_bool, BranchConfig.use_pe)
+    pe_scale: float = _key(_parse_float, BranchConfig.pe_scale)
+    pe_stage: str = _key(_choice((PE_POST_EMBED, PE_PRE_EMBED)), BranchConfig.pe_stage)
+    use_encoder: bool = _key(_parse_bool, BranchConfig.use_encoder)
+    fusion: str = _key(_choice(FUSION_MODES), FUSION_NONE)
+    branch: str = _key(_identity, "static")
+    fusion_branches: tuple = _key(_list_of(_identity), ())
+    late_weights: dict = _key(_parse_weights, DEFAULT_LATE_WEIGHTS)
+    early_pe: str = _key(_choice((EARLY_PE_AFTER_FUSION, EARLY_PE_PER_BRANCH)),
+                         EARLY_PE_AFTER_FUSION)
+    # training
+    optimizer: str = _key(_choice((OPT_SGD_MOMENTUM, OPT_ADAM)), TrainConfig.optimizer)
+    momentum: float = _key(_parse_float, TrainConfig.momentum)
+    beta1: float = _key(_parse_float, TrainConfig.beta1)
+    beta2: float = _key(_parse_float, TrainConfig.beta2)
+    adam_eps: float = _key(_parse_float, TrainConfig.adam_eps)
+    lr_schedule: tuple = _key(_parse_schedule, TrainConfig.lr_schedule)
+    batch_size: int = _key(_parse_int, TrainConfig.batch_size)
+    # 0, not TrainConfig's 20000: the CLI trains only when asked to
+    total_iterations: int = _key(_parse_int, 0)
+    lambda_g: float = _key(_parse_float, TrainConfig.lambda_g)
+    lambda_a: float = _key(_parse_float, TrainConfig.lambda_a)
+    seed: int = _key(_parse_int, TrainConfig.seed)
+    # data files
+    train_data: str = _key(_identity, "")
+    test_data: str = _key(_identity, "")
+    scene_ids: tuple = _key(_list_of(_parse_int), ())
+    # ablation axes; empty means "keep the configured value"
+    ablate_layers: tuple = _key(_list_of(_parse_int), ())
+    ablate_heads: tuple = _key(_list_of(_parse_int), ())
+    ablate_pe: tuple = _key(_list_of(_parse_bool), ())
+    ablate_encoder: tuple = _key(_list_of(_parse_bool), ())
+    ablate_fusion: tuple = _key(_list_of(_identity), ())
+    ablate_seeds: tuple = _key(_list_of(_parse_int), ())
+
+    def _build(self, cls, **given):
+        """A component config from the keys it shares with this one, then `given`."""
+        shared = {f.name: getattr(self, f.name) for f in fields(cls) if f.name in _KEYS}
+        return cls(**{**shared, **given})
 
     def scene_config(self) -> SceneConfig:
-        return SceneConfig(
-            rule=self.rule,
-            num_actions=self.num_actions,
-            num_activities=self.num_activities,
-            n_actors=self.n_actors,
-            branch_dims=dict(self.branches),
-            noise=self.noise,
-            complementary=self.complementary,
-            corrupt_prob=self.corrupt_prob,
-            t_frames=self.t_frames,
-            seed=self.seed,
-        )
+        return self._build(SceneConfig, branch_dims=self.branches)
 
     def branch_config(self, feature_dim: int, num_actions: int, num_activities: int,
                       **overrides) -> BranchConfig:
-        kwargs = dict(
-            feature_dim=feature_dim,
-            num_actions=num_actions,
-            num_activities=num_activities,
-            d_model=self.d_model,
-            num_heads=self.num_heads,
-            num_layers=self.num_layers,
-            d_ff=self.d_ff,
-            dropout=self.dropout,
-            use_pe=self.use_pe,
-            pe_scale=self.pe_scale,
-            pe_stage=self.pe_stage,
-            use_encoder=self.use_encoder,
-        )
-        kwargs.update(overrides)
-        return BranchConfig(**kwargs)
+        return self._build(BranchConfig, feature_dim=feature_dim, num_actions=num_actions,
+                           num_activities=num_activities, **overrides)
 
     def train_config(self, **overrides) -> TrainConfig:
-        kwargs = dict(
-            optimizer=self.optimizer,
-            momentum=self.momentum,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            adam_eps=self.adam_eps,
-            lr_schedule=self.lr_schedule,
-            batch_size=self.batch_size,
-            total_iterations=self.total_iterations,
-            lambda_g=self.lambda_g,
-            lambda_a=self.lambda_a,
-            seed=self.seed,
-        )
-        kwargs.update(overrides)
-        return TrainConfig(**kwargs)
+        return self._build(TrainConfig, **overrides)
 
 
-assert set(_SCHEMA) == {f.name for f in fields(RunConfig)}
+_KEYS = {f.name: f.metadata["parse"] for f in fields(RunConfig)}
 
 
 def parse_config_text(text: str, source="<config>") -> dict:
@@ -305,18 +212,16 @@ def parse_config_text(text: str, source="<config>") -> dict:
 
 
 def config_from_pairs(pairs: dict) -> RunConfig:
-    unknown = sorted(set(pairs) - set(_SCHEMA))
+    unknown = sorted(set(pairs) - set(_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     values = {}
-    for key, (parse, default) in _SCHEMA.items():
+    for key, parse in _KEYS.items():
         if key in pairs:
             try:
                 values[key] = parse(pairs[key])
             except ConfigError as exc:
                 raise ConfigError(f"config key {key!r}: {exc}") from None
-        else:
-            values[key] = default
     return RunConfig(**values)
 
 

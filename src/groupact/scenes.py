@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
 from .fileio import atomic_write_text, f17
-from .posenc import BoxCenter
 from .seeding import DATA, rng_for
 
 RULE_KEY_ACTOR = "key-actor-side"
@@ -35,7 +34,7 @@ RULES = (RULE_KEY_ACTOR, RULE_MAJORITY)
 # Key actors stay clear of the x = 0.5 midline by this margin, on either side.
 SIDE_MARGIN = 0.02
 
-FORMAT_HEADER = "groupact-dataset v1"
+FORMAT_HEADER = "groupact-dataset v2"
 
 
 @dataclass(frozen=True)
@@ -48,7 +47,6 @@ class SceneConfig:
     noise: float = 0.5
     complementary: bool = False
     corrupt_prob: float = 0.0
-    t_frames: int = 10  # carried as metadata; features are already per-clip
     seed: int = 0
 
     def __post_init__(self):
@@ -86,8 +84,6 @@ class SceneConfig:
             raise ConfigError(f"noise must be >= 0, got {self.noise}")
         if not 0.0 <= self.corrupt_prob <= 1.0:
             raise ConfigError(f"corrupt_prob must lie in [0, 1], got {self.corrupt_prob}")
-        if self.t_frames < 1:
-            raise ConfigError(f"t_frames must be >= 1, got {self.t_frames}")
         if self.complementary:
             if self.rule != RULE_KEY_ACTOR:
                 raise ConfigError("complementary prototypes need the key-actor-side rule")
@@ -127,9 +123,6 @@ class ActorScene:
     actions: np.ndarray  # (n,) int
     centers: np.ndarray  # (n, 2) in [0, 1]
     features: dict  # branch name -> (n, dim) float
-
-    def box_centers(self):
-        return [BoxCenter(x, y) for x, y in self.centers]
 
     @property
     def n_actors(self) -> int:
@@ -289,7 +282,6 @@ def save_dataset(ds: SceneDataset, path) -> None:
         f"noise {f17(cfg.noise)}",
         f"complementary {int(cfg.complementary)}",
         f"corrupt_prob {f17(cfg.corrupt_prob)}",
-        f"t_frames {cfg.t_frames}",
         f"seed {cfg.seed}",
         f"branches {len(cfg.branch_dims)}",
     ]
@@ -359,8 +351,11 @@ def load_dataset(path) -> SceneDataset:
     except OSError as exc:
         raise DataError(f"cannot read dataset: {exc}") from None
     r = _LineReader(path, text)
-    if r.next() != FORMAT_HEADER:
-        r.fail(f"expected header {FORMAT_HEADER!r}")
+    header = r.next()
+    if header != FORMAT_HEADER:
+        # v1 files hold the same scenes plus a t_frames line generation never read
+        r.fail(f"expected header {FORMAT_HEADER!r}, got {header[:40]!r}; regenerate "
+               "datasets written by older versions with 'groupact generate'")
     rule = r.keyword("rule")
     if len(rule) != 1:
         r.fail("rule: expected one value")
@@ -376,7 +371,6 @@ def load_dataset(path) -> SceneDataset:
     noise_cells = r.keyword("noise")
     complementary = r.int_field("complementary")
     corrupt_cells = r.keyword("corrupt_prob")
-    t_frames = r.int_field("t_frames")
     seed = r.int_field("seed")
     n_branches = r.int_field("branches")
     branch_dims = {}
@@ -398,7 +392,6 @@ def load_dataset(path) -> SceneDataset:
             noise=float(noise_cells[0]),
             complementary=bool(complementary),
             corrupt_prob=float(corrupt_cells[0]),
-            t_frames=t_frames,
             seed=seed,
         )
     except (ConfigError, ValueError, IndexError) as exc:

@@ -244,13 +244,6 @@ class _SceneStream:
         self.rng = rng
         self.queue = deque()
 
-    def skip(self, draws: int):
-        epochs, offset = divmod(draws, self.count)
-        for _ in range(epochs):
-            self.rng.permutation(self.count)
-        if offset:
-            self.queue.extend(self.rng.permutation(self.count)[offset:])
-
     def take(self, size: int):
         while len(self.queue) < size:
             self.queue.extend(self.rng.permutation(self.count))

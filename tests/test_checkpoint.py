@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,6 +10,7 @@ from groupact.checkpoint import (
     save_model,
     write_checkpoint,
 )
+from groupact.cli import main
 from groupact.errors import ParseError
 from groupact.model import BranchConfig, BranchModel, EarlyFusionModel, LateFusionModel
 from groupact.seeding import rng_for
@@ -146,3 +149,138 @@ def test_wrong_tensor_shape(tmp_path):
     write_checkpoint(path, meta, tensors)
     with pytest.raises(ParseError):
         load_model(path)
+
+
+def _branch(tmp_path):
+    path = tmp_path / "branch.ckpt"
+    save_model(path, BranchModel("static", _cfg(), rng_for(10, "init")), iteration=3)
+    return path
+
+
+def _early(tmp_path):
+    path = tmp_path / "early.ckpt"
+    save_model(path, EarlyFusionModel("concat", {"rgb": 4, "static": 8}, _cfg(),
+                                      rng_for(11, "init")))
+    return path
+
+
+def _late(tmp_path):
+    path = tmp_path / "late.ckpt"
+    models = {"a": BranchModel("a", _cfg(), rng_for(12, "init")),
+              "b": BranchModel("b", _cfg(), rng_for(13, "init"))}
+    save_model(path, LateFusionModel(models, {"a": 2.0, "b": 1.0}))
+    return path
+
+
+# (model, metadata key, new value or None to delete the key)
+_BAD_METADATA = [
+    (_branch, "cfg.d_model", "thirty"),
+    (_branch, "cfg.dropout", "x"),
+    (_branch, "cfg.use_pe", "maybe"),
+    (_branch, "iteration", "ten"),
+    (_branch, "branch", None),
+    (_branch, "cfg.pe_stage", None),
+    (_branch, "cfg.d_model", "6"),  # BranchConfig: not divisible by 4
+    (_branch, "cfg.pe_stage", "sideways"),
+    (_branch, "kind", "mystery"),
+    (_early, "branches", "rgb,nope"),
+    (_early, "branches", None),
+    (_early, "early_pe", "sideways"),
+    (_early, "early_pe", None),
+    (_early, "fdim.rgb", "four"),
+    (_late, "late_weight.a", "heavy"),
+    (_late, "late_weight.a", "-1"),
+    (_late, "branches", "a"),
+    (_late, "cfg.b.num_heads", None),
+]
+
+
+@pytest.mark.parametrize(
+    "build, key, value", _BAD_METADATA,
+    ids=[f"{b.__name__[1:]}-{k}-{v}" for b, k, v in _BAD_METADATA])
+def test_bad_metadata_is_a_parse_error_naming_the_file(tmp_path, build, key, value):
+    path = build(tmp_path)
+    meta, tensors = read_checkpoint(path)
+    if value is None:
+        del meta[key]
+    else:
+        meta[key] = value
+    write_checkpoint(path, meta, tensors)
+    with pytest.raises(ParseError, match=str(path)):
+        load_model(path)
+
+
+def test_flipped_key_byte_is_a_parse_error(tmp_path):
+    path = _branch(tmp_path)
+    blob = path.read_bytes()
+    at = blob.index(b"cfg.d_model")
+    path.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
+    with pytest.raises(ParseError, match=str(path)):
+        load_model(path)
+
+
+def test_unreadable_path_is_a_parse_error(tmp_path):
+    for path in (tmp_path / "missing.ckpt", tmp_path):
+        with pytest.raises(ParseError, match=str(path)):
+            load_model(path)
+
+
+def test_cli_evaluate_reports_bad_metadata_without_traceback(tmp_path, capsys):
+    path = _branch(tmp_path)
+    meta, tensors = read_checkpoint(path)
+    meta["cfg.d_model"] = "thirty"
+    write_checkpoint(path, meta, tensors)
+    code = main(["evaluate", "--out", str(tmp_path / "eval"), "--checkpoint", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and str(path) in err
+    assert "Traceback" not in err
+
+
+# The model metadata order written before it was derived from BranchConfig's fields.
+_OLD_CFG_ORDER = ("feature_dim", "num_actions", "num_activities", "d_model", "num_heads",
+                  "num_layers", "d_ff", "dropout", "pe_scale", "use_pe", "use_encoder",
+                  "pe_stage")
+
+
+def test_checkpoint_in_the_old_metadata_order_loads(tmp_path):
+    path = tmp_path / "old.ckpt"
+    model = BranchModel("static", _cfg(pe_stage="pre-embed"), rng_for(14, "init"))
+    save_model(path, model, iteration=5)
+    meta, tensors = read_checkpoint(path)
+    old = {key: meta[key] for key in ("kind", "iteration", "branch")}
+    old.update({f"cfg.{name}": meta[f"cfg.{name}"] for name in _OLD_CFG_ORDER})
+    assert sorted(old) == sorted(meta) and list(old) != list(meta)
+    write_checkpoint(path, old, tensors)
+    loaded, iteration, _ = load_model(path)
+    assert iteration == 5 and loaded.cfg == model.cfg
+    _assert_same_params(model, loaded)
+
+
+def test_save_ignores_a_stale_temp_name(tmp_path):
+    # Writers used to stage every save in "<name>.tmp", so a leftover there
+    # (here a directory) made the save fail.
+    path = tmp_path / "model.ckpt"
+    (tmp_path / "model.ckpt.tmp").mkdir()
+    model = BranchModel("static", _cfg(), rng_for(15, "init"))
+    save_model(path, model)
+    _assert_same_params(model, load_model(path)[0])
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "model.ckpt"
+    target.mkdir()  # os.replace cannot put a file over a directory
+    with pytest.raises(OSError):
+        save_model(target, BranchModel("static", _cfg(), rng_for(16, "init")))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+
+def test_overflowing_tensor_shape_is_a_parse_error(tmp_path):
+    path = tmp_path / "forged.ckpt"
+    write_checkpoint(path, {"kind": "branch"}, [("a", np.zeros((2, 2)))])
+    blob = path.read_bytes()
+    dims = struct.pack("<2Q", 2, 2)
+    # 2**32 * 2**32 wraps to 0 in int64, which would ask for zero bytes
+    path.write_bytes(blob.replace(dims, struct.pack("<2Q", 2**32, 2**32)))
+    with pytest.raises(ParseError, match=str(path)):
+        read_checkpoint(path)

@@ -1,3 +1,7 @@
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
 from groupact.config import (
@@ -65,7 +69,6 @@ def test_typed_values_and_defaults():
     # untouched keys fall back to their defaults
     assert cfg.d_model == 128
     assert cfg.optimizer == "sgd-momentum"
-    assert cfg.t_frames == 10
 
 
 def test_single_actor_count_collapses():
@@ -99,3 +102,33 @@ def test_schedule_parse_errors():
         config_from_pairs({"lr_schedule": "10:0.01"})  # must start at 0
     with pytest.raises(ConfigError):
         config_from_pairs({"lr_schedule": "0:0.01, 5"})
+
+
+def _readme_config_rows():
+    """(keys, default cell) of every `| key | default | meaning |` table row."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    rows, in_table = [], False
+    for line in lines:
+        if line.strip() == "| key | default | meaning |":
+            in_table = True
+        elif not line.startswith("|"):
+            in_table = False
+        elif in_table and not line.startswith("| ---"):
+            key_cell, default_cell = [c.strip() for c in line.strip("|").split("|")][:2]
+            rows.append((re.findall(r"`([^`]+)`", key_cell), default_cell.replace("`", "")))
+    return rows
+
+
+def test_readme_config_tables_match_the_schema():
+    rows = _readme_config_rows()
+    documented = [key for keys, _ in rows for key in keys]
+    assert sorted(documented) == sorted(f.name for f in fields(RunConfig))
+    defaults, parsers = RunConfig(), {f.name: f.metadata["parse"] for f in fields(RunConfig)}
+    for keys, cell in rows:
+        if cell in ("", "all"):
+            texts = [""] * len(keys)
+        else:
+            texts = cell.split(", ") if len(keys) > 1 else [cell]
+        assert len(texts) == len(keys), (keys, cell)
+        for key, text in zip(keys, texts):
+            assert parsers[key](text) == getattr(defaults, key), key

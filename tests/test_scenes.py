@@ -221,3 +221,16 @@ def test_bad_header_is_a_parse_error(tmp_path):
     path.write_text("groupact-dataset v2\n")
     with pytest.raises(ParseError):
         load_dataset(path)
+
+
+def test_v1_dataset_is_rejected_with_a_hint_to_regenerate(tmp_path):
+    ds = generate(_vb_cfg(seed=16), 3)
+    path = tmp_path / "ds.scenes"
+    save_dataset(ds, path)
+    lines = path.read_text().splitlines()
+    lines[0] = "groupact-dataset v1"
+    lines.insert(lines.index(f"seed {ds.config.seed}"), "t_frames 10")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="regenerate") as exc:
+        load_dataset(path)
+    assert str(path) in str(exc.value)

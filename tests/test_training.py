@@ -15,14 +15,13 @@ from groupact.model import (
     predict,
 )
 from groupact.scenes import SceneConfig, generate
-from groupact.seeding import SHUFFLE, rng_for
+from groupact.seeding import rng_for
 from groupact.tensor import MODE_TRAIN, Graph, Tensor, matmul, reshape
 from groupact.training import (
     Adam,
     LossCurve,
     SgdMomentum,
     TrainConfig,
-    _SceneStream,
     joint_loss,
     lr_at,
     make_optimizer,
@@ -184,14 +183,6 @@ def test_loss_curve_round_trip(tmp_path):
     path.write_text("iteration,lr,oops\n")
     with pytest.raises(ParseError):
         LossCurve.read_csv(path)
-
-
-def test_scene_stream_skip_matches_sequential_draws():
-    a = _SceneStream(10, rng_for(0, SHUFFLE))
-    drawn = a.take(7) + a.take(6)
-    b = _SceneStream(10, rng_for(0, SHUFFLE))
-    b.skip(7)
-    assert b.take(6) == drawn[7:]
 
 
 def test_train_rejects_bad_inputs():
