@@ -174,6 +174,10 @@ def load_model(path):
     stored = dict(tensors)
     if len(stored) != len(tensors):
         raise ParseError(path, 0, "duplicate tensor names in checkpoint")
+    # ops do not check their outputs, so the stored values are checked here
+    if tensors and not np.isfinite(np.concatenate([arr.ravel() for _, arr in tensors])).all():
+        bad = next(name for name, arr in tensors if not np.isfinite(arr).all())
+        raise ParseError(path, 0, f"tensor {bad!r} holds a non-finite value")
     kind = meta.get("kind")
     rng = rng_for(0, "init")  # shapes only; every value is overwritten below
     try:

@@ -25,6 +25,7 @@ from .model import (
     PE_POST_EMBED,
     PE_PRE_EMBED,
     BranchConfig,
+    check_pe_scale,
 )
 from .scenes import RULE_KEY_ACTOR, RULES, SceneConfig
 from .training import OPT_ADAM, OPT_SGD_MOMENTUM, TrainConfig
@@ -140,7 +141,8 @@ class RunConfig:
     d_ff: int = _key(_parse_int, BranchConfig.d_ff)
     dropout: float = _key(_parse_float, BranchConfig.dropout)
     use_pe: bool = _key(_parse_bool, BranchConfig.use_pe)
-    pe_scale: float = _key(_parse_float, BranchConfig.pe_scale)
+    pe_scale: float = _key(lambda text: check_pe_scale(_parse_float(text)),
+                           BranchConfig.pe_scale)
     pe_stage: str = _key(_choice((PE_POST_EMBED, PE_PRE_EMBED)), BranchConfig.pe_stage)
     use_encoder: bool = _key(_parse_bool, BranchConfig.use_encoder)
     fusion: str = _key(_choice(FUSION_MODES), FUSION_NONE)

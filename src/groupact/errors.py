@@ -43,4 +43,4 @@ class ParseError(GroupActError):
 
 
 class TrainingDiverged(GroupActError):
-    """Training produced a non-finite loss; message includes the iteration."""
+    """Training produced non-finite logits, loss or gradients; message includes the iteration."""

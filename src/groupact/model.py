@@ -13,17 +13,18 @@ per-branch class probabilities with fixed weights.
 Every model runs a minibatch as one forward pass (forward_batch): the
 actors of all scenes are packed into one row matrix, and only attention and
 set pooling look at the scene boundaries. forward(inputs) is the batch of
-one.
+one. forward_batch raises NumericsError when its logits are not finite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, NumericsError, ShapeError
 from .posenc import apply_pe
 from .tensor import (
     MODE_INFER,
@@ -56,6 +57,12 @@ FUSION_MODES = (FUSION_NONE, FUSION_EARLY_SUM, FUSION_EARLY_CONCAT, FUSION_LATE)
 DEFAULT_LATE_WEIGHTS = {"static": 2.0, "dynamic-rgb": 1.0, "dynamic-flow": 1.0}
 
 
+def check_pe_scale(value: float) -> float:
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"pe_scale must be finite and positive, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class BranchConfig:
     feature_dim: int
@@ -78,6 +85,7 @@ class BranchConfig:
             raise ConfigError(
                 f"need at least 2 actions and 2 activities, got {self.num_actions}/{self.num_activities}"
             )
+        check_pe_scale(self.pe_scale)
         if self.pe_stage not in (PE_POST_EMBED, PE_PRE_EMBED):
             raise ConfigError(f"unknown pe_stage {self.pe_stage!r}")
         if self.use_pe and self.pe_stage == PE_POST_EMBED and self.d_model % 4 != 0:
@@ -171,6 +179,14 @@ def pack_inputs(batch: Sequence[Mapping[str, BranchInput]], feature_dims: Mappin
     return packed, tuple(sizes)
 
 
+def checked(pred: Prediction) -> Prediction:
+    """pred, after checking that its outputs are finite (ops do not check theirs)."""
+    if not (np.isfinite(pred.action_logits.data).all()
+            and np.isfinite(pred.activity_logits.data).all()):
+        raise NumericsError("non-finite model output")
+    return pred
+
+
 def one_scene(pred: Prediction) -> Prediction:
     """The only scene of a batch of one, as a one-scene Prediction."""
     g = pred.activity_logits
@@ -259,8 +275,8 @@ class BranchModel:
     def forward_batch(self, batch: Sequence[Mapping[str, BranchInput]], mode=MODE_INFER,
                       rng=None, record_attention=False) -> Prediction:
         packed, sizes = pack_inputs(batch, {self.branch: self.cfg.feature_dim})
-        return forward_branch(packed[self.branch], self.weights, mode, rng, record_attention,
-                              sizes)
+        return checked(forward_branch(packed[self.branch], self.weights, mode, rng,
+                                      record_attention, sizes))
 
     def parameters(self):
         return self.weights.parameters()
@@ -338,7 +354,7 @@ class EarlyFusionModel:
         if self.encoder is not None:
             x, rec = encode(x, self.encoder, mode, rng, record_attention, layout)
         action_logits, activity_logits = _heads(x, self.action_w, self.activity_w, layout)
-        return Prediction(action_logits, activity_logits, rec, sizes)
+        return checked(Prediction(action_logits, activity_logits, rec, sizes))
 
     def parameters(self):
         out = []
@@ -402,6 +418,7 @@ class LateFusionModel:
         if record_attention:
             attention = [{b: None if recs[b] is None else recs[b][i] for b in self.branches}
                          for i in range(len(pred.sizes))]
+        # the branches checked their logits; mixing their softmaxes stays finite
         return Prediction(action_mix, activity_mix, attention, pred.sizes)
 
     def parameters(self):

@@ -344,6 +344,14 @@ class _LineReader:
         except ValueError:
             self.fail("bad float")
 
+    def float_rows(self, count: int, width: int) -> np.ndarray:
+        """The next count rows of width finite floats, as one (count, width) array."""
+        rows = np.stack([self.float_row(width) for _ in range(count)])
+        if not np.isfinite(rows).all():
+            bad = int(np.argmin(np.isfinite(rows).all(axis=1)))
+            raise ParseError(self.path, self.no - count + 1 + bad, "non-finite value")
+        return rows
+
 
 def load_dataset(path) -> SceneDataset:
     try:
@@ -401,9 +409,7 @@ def load_dataset(path) -> SceneDataset:
         got = r.keyword("prototypes")
         if got != [name]:
             r.fail(f"expected prototypes for {name!r}")
-        prototypes[name] = np.stack(
-            [r.float_row(branch_dims[name]) for _ in range(num_actions)]
-        )
+        prototypes[name] = r.float_rows(num_actions, branch_dims[name])
     n_scenes = r.int_field("scenes")
     scenes = []
     for _ in range(n_scenes):
@@ -424,7 +430,7 @@ def load_dataset(path) -> SceneDataset:
         if actions.min() < 0 or actions.max() >= num_actions:
             r.fail("action id out of range")
         r.keyword("centers")
-        centers = np.stack([r.float_row(2) for _ in range(n)])
+        centers = r.float_rows(n, 2)
         if centers.min() < 0.0 or centers.max() > 1.0:
             r.fail("center outside [0, 1]")
         feats = {}
@@ -432,7 +438,7 @@ def load_dataset(path) -> SceneDataset:
             got = r.keyword("features")
             if got != [name]:
                 r.fail(f"expected features for {name!r}")
-            feats[name] = np.stack([r.float_row(branch_dims[name]) for _ in range(n)])
+            feats[name] = r.float_rows(n, branch_dims[name])
         scenes.append(ActorScene(sid, activity, actions, centers, feats))
     r.keyword("end")
     if r.no != len(r.lines):

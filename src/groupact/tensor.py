@@ -1,21 +1,23 @@
 """Reverse-mode autodiff on a dynamic tape.
 
 A Graph is an append-only record of executed ops. While a Graph in "train"
-mode is active (as a context manager), every op appends a node holding the
-op name, the input tensors, the output tensor, and a closure that maps the
-output gradient to per-input gradients. backward() walks the tape from the
-loss node toward node 0, accumulating gradients; tensors created outside any
-op (leaves) receive them in .grad. Leaving the Graph block frees the tape,
-so backward() must run inside it.
+mode is active (as a context manager), every op appends a node: a tuple of
+its input tensors and a closure that maps the output gradient to per-input
+gradients. backward() walks the tape from the loss node toward node 0,
+accumulating gradients; tensors created outside any op (leaves) receive
+them in .grad. Leaving the Graph block frees the tape, so backward() must
+run inside it.
 
 A batch of actor sets travels as one packed (N, d) matrix whose rows are the
 actors of scene 0, then scene 1, and so on (a SetLayout records the sizes).
 Row-wise ops need nothing more; set_attention and max_over_sets are the ops
 that work per set.
 
-All values are float64. Any op that produces a NaN or infinity raises
-NumericsError at the op that produced it; the single check lives in the
-Tensor constructor, which every op goes through.
+All values are float64. Tensor(data) raises NumericsError on a NaN or an
+infinity in data; op outputs are not checked, so that every op costs only
+its arithmetic. Finiteness is checked where values leave the tape instead:
+the model's forward_batch checks its logits, and training checks the loss
+and the parameter gradients of every step.
 """
 
 from __future__ import annotations
@@ -44,23 +46,13 @@ def check_mode(mode):
         raise UsageError(f"mode must be '{MODE_TRAIN}' or '{MODE_INFER}', got {mode!r}")
 
 
-class _Node:
-    __slots__ = ("op", "inputs", "out", "vjp")
-
-    def __init__(self, op, inputs, out, vjp):
-        self.op = op
-        self.inputs = inputs
-        self.out = out
-        self.vjp = vjp
-
-
 class Graph:
     """Tape of executed ops. mode 'train' records; 'infer' computes only."""
 
     def __init__(self, mode=MODE_TRAIN):
         check_mode(mode)
         self.mode = mode
-        self.nodes: list[_Node] = []
+        self.nodes: list[tuple] = []  # (inputs, vjp) per recorded op
         self.closed = False
 
     def __enter__(self):
@@ -79,8 +71,8 @@ class Graph:
         self.closed = True
         return False
 
-    def _record(self, op, inputs, out, vjp):
-        self.nodes.append(_Node(op, inputs, out, vjp))
+    def _record(self, inputs, vjp):
+        self.nodes.append((inputs, vjp))
         return len(self.nodes) - 1
 
 
@@ -93,9 +85,9 @@ def _recording_graph():
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_graph", "_node_id")
 
-    def __init__(self, data, requires_grad=False):
+    def __init__(self, data, requires_grad=False, _check=True):
         arr = np.ascontiguousarray(data, dtype=np.float64)
-        if not np.isfinite(arr).all():
+        if _check and not np.isfinite(arr).all():
             raise NumericsError("non-finite value encountered")
         self.data = arr
         # Eager zero grad means a parameter that never touches the loss still
@@ -135,21 +127,22 @@ class Tensor:
         graph = self._graph
         if graph.closed:
             raise UsageError("backward() after its Graph block exited; the tape is freed")
-        # Gradient flowing into each tape node, keyed by node id. The tape is
-        # in execution order, so one reverse scan visits every node after all
-        # of its consumers.
-        flows = {self._node_id: np.ones_like(self.data)}
+        # Gradient flowing into each tape node, indexed by node id. The tape
+        # is in execution order, so one reverse scan visits every node after
+        # all of its consumers.
+        flows = [None] * (self._node_id + 1)
+        flows[-1] = np.ones_like(self.data)
         for nid in range(self._node_id, -1, -1):
-            grad_out = flows.pop(nid, None)
+            grad_out = flows[nid]
             if grad_out is None:
                 continue
-            node = graph.nodes[nid]
-            grads_in = node.vjp(grad_out)
-            for inp, g in zip(node.inputs, grads_in):
+            flows[nid] = None
+            inputs, vjp = graph.nodes[nid]
+            for inp, g in zip(inputs, vjp(grad_out)):
                 if g is None:
                     continue
                 if inp._graph is graph and inp._node_id is not None:
-                    prev = flows.get(inp._node_id)
+                    prev = flows[inp._node_id]
                     flows[inp._node_id] = g if prev is None else prev + g
                 elif inp.requires_grad:
                     inp.grad += g
@@ -178,17 +171,13 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def parameter(data) -> Tensor:
-    return Tensor(data, requires_grad=True)
-
-
-def _result(op, data, inputs, make_vjp):
-    """Wrap op output; record a node iff a train-mode graph is active."""
-    out = Tensor(data)
+def _result(data, inputs, make_vjp):
+    """Wrap op output, unchecked; record a node iff a train-mode graph is active."""
+    out = Tensor(data, _check=False)
     graph = _recording_graph()
     if graph is not None:
         out._graph = graph
-        out._node_id = graph._record(op, inputs, out, make_vjp())
+        out._node_id = graph._record(inputs, make_vjp())
     return out
 
 
@@ -211,7 +200,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             return lambda g: (g, g.sum(axis=0))
         return lambda g: (g, g)
 
-    return _result("add", a.data + b.data, (a, b), make_vjp)
+    return _result(a.data + b.data, (a, b), make_vjp)
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -223,7 +212,7 @@ def mul(a: Tensor, b) -> Tensor:
         def make_vjp():
             return lambda g: (g * c,)
 
-        return _result("scale", a.data * c, (a,), make_vjp)
+        return _result(a.data * c, (a,), make_vjp)
     b = _as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
@@ -232,7 +221,7 @@ def mul(a: Tensor, b) -> Tensor:
     def make_vjp():
         return lambda g: (g * bd, g * ad)
 
-    return _result("mul", ad * bd, (a, b), make_vjp)
+    return _result(ad * bd, (a, b), make_vjp)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -246,7 +235,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def make_vjp():
         return lambda g: (g @ bd.T, ad.T @ g)
 
-    return _result("matmul", ad @ bd, (a, b), make_vjp)
+    return _result(ad @ bd, (a, b), make_vjp)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -257,7 +246,7 @@ def transpose(a: Tensor) -> Tensor:
     def make_vjp():
         return lambda g: (np.ascontiguousarray(g.T),)
 
-    return _result("transpose", a.data.T, (a,), make_vjp)
+    return _result(a.data.T, (a,), make_vjp)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -270,7 +259,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     def make_vjp():
         return lambda g: (g.reshape(old_shape),)
 
-    return _result("reshape", a.data.reshape(shape), (a,), make_vjp)
+    return _result(a.data.reshape(shape), (a,), make_vjp)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -280,7 +269,7 @@ def relu(a: Tensor) -> Tensor:
     def make_vjp():
         return lambda g: (g * mask,)
 
-    return _result("relu", np.maximum(a.data, 0.0), (a,), make_vjp)
+    return _result(np.maximum(a.data, 0.0), (a,), make_vjp)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -291,7 +280,7 @@ def sum_all(a: Tensor) -> Tensor:
     def make_vjp():
         return lambda g: (np.broadcast_to(g, shape).copy(),)
 
-    return _result("sum_all", a.data.sum(), (a,), make_vjp)
+    return _result(a.data.sum(), (a,), make_vjp)
 
 
 def concat_last_dim(parts) -> Tensor:
@@ -318,7 +307,7 @@ def concat_last_dim(parts) -> Tensor:
 
         return vjp
 
-    return _result("concat_last_dim", np.concatenate([p.data for p in parts], axis=1), tuple(parts), make_vjp)
+    return _result(np.concatenate([p.data for p in parts], axis=1), tuple(parts), make_vjp)
 
 
 class SetLayout:
@@ -392,7 +381,7 @@ def max_over_sets(a: Tensor, sizes=None) -> Tensor:
 
         return vjp
 
-    return _result("max_over_sets", a.data[winners, cols], (a,), make_vjp)
+    return _result(a.data[winners, cols], (a,), make_vjp)
 
 
 def max_over_set(a: Tensor) -> Tensor:
@@ -440,7 +429,7 @@ def set_attention(q: Tensor, k: Tensor, v: Tensor, sizes=None, record=None) -> T
 
         return vjp
 
-    return _result("set_attention", layout.unpad(w @ vp), (q, k, v), make_vjp)
+    return _result(layout.unpad(w @ vp), (q, k, v), make_vjp)
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -460,7 +449,7 @@ def softmax_rows(a: Tensor) -> Tensor:
 
         return vjp
 
-    return _result("softmax_rows", y, (a,), make_vjp)
+    return _result(y, (a,), make_vjp)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -494,7 +483,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
         return vjp
 
-    return _result("layer_norm", x_hat * gd + bias.data, (a, gain, bias), make_vjp)
+    return _result(x_hat * gd + bias.data, (a, gain, bias), make_vjp)
 
 
 def dropout(a: Tensor, rate: float, mode: str, rng=None) -> Tensor:
@@ -518,7 +507,7 @@ def dropout(a: Tensor, rate: float, mode: str, rng=None) -> Tensor:
     def make_vjp():
         return lambda g: (g * scaled_mask,)
 
-    return _result("dropout", a.data * scaled_mask, (a,), make_vjp)
+    return _result(a.data * scaled_mask, (a,), make_vjp)
 
 
 class DropoutDraws:
@@ -532,8 +521,12 @@ class DropoutDraws:
     """
 
     def __init__(self, rng, sizes, widths):
-        per_set = [[rng.random((n, w)) for w in widths] for n in sizes]
-        self._sites = iter([np.concatenate(site) for site in zip(*per_set)])
+        sizes, widths = np.asarray(sizes, np.int64), np.asarray(widths, np.int64)
+        draws = rng.random(int(sizes.sum() * widths.sum()))
+        # The site each draw belongs to: set 0's sites in turn, then set 1's.
+        site = np.repeat(np.tile(np.arange(len(widths), dtype=np.int16), len(sizes)),
+                         np.outer(sizes, widths).ravel())
+        self._sites = iter([draws[site == k].reshape(-1, w) for k, w in enumerate(widths)])
 
     def random(self, shape):
         draws = next(self._sites, None)
@@ -593,7 +586,7 @@ def weighted_cross_entropy(parts):
 
         return vjp
 
-    return _result("weighted_cross_entropy", loss, tuple(tensors), make_vjp), rows_ce
+    return _result(loss, tuple(tensors), make_vjp), rows_ce
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

@@ -4,12 +4,12 @@ The loss for one scene is lambda_g * CE(activity) + lambda_a * CE(actions),
 with the action term averaged over the scene's actors; a batch averages the
 scene losses. Each step runs the whole minibatch as one packed forward pass,
 one loss node and one backward pass. Optimizers are plain SGD with momentum
-and Adam, with a piecewise-constant learning-rate schedule.
+and Adam, with a piecewise-constant learning-rate schedule; each packs the
+parameters into one vector and updates them with a few vector ops.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,91 +109,114 @@ def joint_loss(pred: Prediction, activity_label, action_labels, lambda_g=1.0,
     return loss_terms(batch, [activity_label], np.asarray(action_labels), lambda_g, lambda_a)[0]
 
 
-def sgd_momentum_step(params, velocity: dict, lr: float, momentum: float) -> None:
-    """v <- momentum * v + grad; w <- w - lr * v, in place."""
-    for name, t in params:
-        v = velocity[name]
-        v *= momentum
-        v += t.grad
-        t.data -= lr * v
+def _pack(params):
+    """(data, grad, views): one float64 vector that every parameter's .data
+    views, one for .grad, and views(vec), which splits such a vector into
+    per-parameter views. Parameters already packed in this order keep their
+    vectors, so every optimizer over them updates the same weights.
+    """
+    tensors = [t for _, t in params]
+    bounds = np.cumsum([0] + [t.size for t in tensors]).tolist()
+
+    def views(vec):
+        return [vec[a:b].reshape(t.shape) for a, b, t in zip(bounds, bounds[1:], tensors)]
+
+    data = tensors[0].data.base
+    if data is not None and data.size == bounds[-1] and all(
+            t.data.base is data and t.data.ctypes.data == data.ctypes.data + 8 * a
+            for t, a in zip(tensors, bounds)):
+        return data, tensors[0].grad.base, views
+    data = np.concatenate([t.data.ravel() for t in tensors])
+    grad = np.concatenate([t.grad.ravel() for t in tensors])
+    for t, d, g in zip(tensors, views(data), views(grad)):
+        t.data, t.grad = d, g
+    return data, grad, views
 
 
-def adam_step(params, m: dict, v: dict, step: int, lr: float, beta1: float, beta2: float,
-              eps: float) -> int:
-    """One bias-corrected Adam update (eps added outside the square root)."""
-    step += 1
-    c1 = 1.0 - beta1 ** step
-    c2 = 1.0 - beta2 ** step
-    for name, t in params:
-        g = t.grad
-        m[name] *= beta1
-        m[name] += (1.0 - beta1) * g
-        v[name] *= beta2
-        v[name] += (1.0 - beta2) * (g * g)
-        t.data -= lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + eps)
-    return step
+def _slots(slot: str, store: dict) -> list:
+    """An optimizer slot's per-parameter views under their checkpoint names."""
+    return [(f"optim/{slot}/{name}", view) for name, view in store.items()]
+
+
+def _load_slots(extras: dict, slot: str, store: dict):
+    for key, view in _slots(slot, store):
+        if key not in extras:
+            raise ParseError("<checkpoint>", 0, f"missing optimizer slot {key!r}")
+        view[...] = extras[key]
 
 
 class SgdMomentum:
+    """v <- momentum * v + grad; w <- w - lr * v, over the packed parameters."""
+
     kind = OPT_SGD_MOMENTUM
 
     def __init__(self, params, momentum: float = 0.9):
-        self.params = list(params)
+        params = list(params)
+        names = [name for name, _ in params]
         self.momentum = momentum
-        self.velocity = {name: np.zeros_like(t.data) for name, t in self.params}
+        self._data, self._grad, views = _pack(params)
+        self._v, self._tmp = np.zeros_like(self._data), np.empty_like(self._data)
+        self.velocity = dict(zip(names, views(self._v)))
 
     def zero_grads(self):
-        for _, t in self.params:
-            t.zero_grad()
+        self._grad.fill(0.0)
 
     def step(self, lr: float):
-        sgd_momentum_step(self.params, self.velocity, lr, self.momentum)
+        self._v *= self.momentum
+        self._v += self._grad
+        self._data -= np.multiply(self._v, lr, out=self._tmp)
 
     def state_tensors(self):
-        return [(f"optim/v/{name}", arr) for name, arr in self.velocity.items()]
+        return _slots("v", self.velocity)
 
     def load_state(self, extras: dict):
-        for name in self.velocity:
-            key = f"optim/v/{name}"
-            if key not in extras:
-                raise ParseError("<checkpoint>", 0, f"missing optimizer slot {key!r}")
-            self.velocity[name][...] = extras[key]
+        _load_slots(extras, "v", self.velocity)
 
 
 class Adam:
+    """Bias-corrected Adam (eps added outside the square root) over the
+    packed parameters."""
+
     kind = OPT_ADAM
 
     def __init__(self, params, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-10):
-        self.params = list(params)
+        params = list(params)
+        names = [name for name, _ in params]
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = {name: np.zeros_like(t.data) for name, t in self.params}
-        self.v = {name: np.zeros_like(t.data) for name, t in self.params}
+        self._data, self._grad, views = _pack(params)
+        self._m, self._v = np.zeros_like(self._data), np.zeros_like(self._data)
+        self._a, self._b = np.empty_like(self._data), np.empty_like(self._data)
+        self.m = dict(zip(names, views(self._m)))
+        self.v = dict(zip(names, views(self._v)))
         self.count = 0
 
     def zero_grads(self):
-        for _, t in self.params:
-            t.zero_grad()
+        self._grad.fill(0.0)
 
     def step(self, lr: float):
-        self.count = adam_step(self.params, self.m, self.v, self.count, lr,
-                               self.beta1, self.beta2, self.eps)
+        # w -= lr * (m / c1) / (sqrt(v / c2) + eps), one elementwise op at a time
+        self.count += 1
+        c1 = 1.0 - self.beta1 ** self.count
+        c2 = 1.0 - self.beta2 ** self.count
+        g, m, v, a, b = self._grad, self._m, self._v, self._a, self._b
+        m *= self.beta1
+        m += np.multiply(g, 1.0 - self.beta1, out=a)
+        v *= self.beta2
+        v += np.multiply(np.multiply(g, g, out=a), 1.0 - self.beta2, out=a)
+        np.multiply(np.divide(m, c1, out=a), lr, out=a)
+        np.add(np.sqrt(np.divide(v, c2, out=b), out=b), self.eps, out=b)
+        self._data -= np.divide(a, b, out=a)
 
     def state_tensors(self):
-        out = [("optim/step", np.array(float(self.count)))]
-        out += [(f"optim/m/{name}", arr) for name, arr in self.m.items()]
-        out += [(f"optim/v/{name}", arr) for name, arr in self.v.items()]
-        return out
+        step = [("optim/step", np.array(float(self.count)))]
+        return step + _slots("m", self.m) + _slots("v", self.v)
 
     def load_state(self, extras: dict):
         if "optim/step" not in extras:
             raise ParseError("<checkpoint>", 0, "missing optimizer slot 'optim/step'")
         self.count = int(extras["optim/step"])
-        for slot, store in (("m", self.m), ("v", self.v)):
-            for name in store:
-                key = f"optim/{slot}/{name}"
-                if key not in extras:
-                    raise ParseError("<checkpoint>", 0, f"missing optimizer slot {key!r}")
-                store[name][...] = extras[key]
+        _load_slots(extras, "m", self.m)
+        _load_slots(extras, "v", self.v)
 
 
 def make_optimizer(cfg: TrainConfig, params):
@@ -242,20 +265,29 @@ class _SceneStream:
     def __init__(self, count: int, rng):
         self.count = count
         self.rng = rng
-        self.queue = deque()
+        self.queue = np.empty(0, dtype=np.int64)
 
-    def take(self, size: int):
-        while len(self.queue) < size:
-            self.queue.extend(self.rng.permutation(self.count))
-        return [self.queue.popleft() for _ in range(size)]
+    def take(self, size: int) -> np.ndarray:
+        epochs = -(-(size - len(self.queue)) // self.count)  # permutations still needed
+        if epochs > 0:
+            self.queue = np.concatenate(
+                [self.queue] + [self.rng.permutation(self.count) for _ in range(epochs)])
+        out, self.queue = self.queue[:size], self.queue[size:]
+        return out
+
+    def skip(self, count: int, actors: np.ndarray) -> int:
+        """Pass over the next count indices as take(count) does; returns the
+        total of actors (one count per scene) over them."""
+        return int(actors[self.take(count)].sum())
 
 
 def train(model, scenes, cfg: TrainConfig, *, start_iteration: int = 0, optimizer=None) -> LossCurve:
     """Run iterations [start_iteration, cfg.total_iterations) over the scenes.
 
     Every random draw derives from cfg.seed, so the same inputs produce a
-    bit-identical loss curve and final weights. Raises TrainingDiverged as
-    soon as any forward or backward value goes non-finite.
+    bit-identical loss curve and final weights. Raises TrainingDiverged, and
+    leaves the weights as they were, at the first iteration whose logits,
+    loss or parameter gradients go non-finite.
     """
     if getattr(model, "kind", None) == "late":
         raise UsageError("late fusion has no joint objective; train each branch on its own")
@@ -266,14 +298,17 @@ def train(model, scenes, cfg: TrainConfig, *, start_iteration: int = 0, optimize
     params = model.parameters()
     if optimizer is None:
         optimizer = make_optimizer(cfg, params)
+    grads = _pack(params)[1]
     stream = _SceneStream(len(scenes), rng_for(cfg.seed, SHUFFLE))
     # One dropout stream serves the whole run. A resumed run advances it
     # past every draw of the iterations before start_iteration, so it
     # continues with the masks the straight run would draw.
     widths = dropout_widths(model.encoder)
     dropout_rng = rng_for(cfg.seed, DROPOUT)
-    skipped = stream.take(start_iteration * cfg.batch_size)
-    dropout_rng.bit_generator.advance(sum(scenes[i].n_actors for i in skipped) * sum(widths))
+    if start_iteration:
+        actors = np.array([len(scene.actions) for scene in scenes])  # n_actors, minus a call
+        skipped = stream.skip(start_iteration * cfg.batch_size, actors)
+        dropout_rng.bit_generator.advance(skipped * sum(widths))
     curve = LossCurve()
     for it in range(start_iteration, cfg.total_iterations):
         lr = lr_at(cfg.lr_schedule, it)
@@ -288,11 +323,13 @@ def train(model, scenes, cfg: TrainConfig, *, start_iteration: int = 0, optimize
                     pred, [scene.activity for scene in batch],
                     np.concatenate([scene.actions for scene in batch]),
                     cfg.lambda_g, cfg.lambda_a)
+                if not np.isfinite(loss.data):
+                    raise NumericsError("non-finite loss")
                 loss.backward()
+            if not np.isfinite(grads).all():
+                raise NumericsError("non-finite gradient")
         except NumericsError as exc:
-            raise TrainingDiverged(
-                f"non-finite loss at iteration {it} (lr {lr}): {exc}"
-            ) from exc
+            raise TrainingDiverged(f"diverged at iteration {it} (lr {lr}): {exc}") from exc
         optimizer.step(lr)
         curve.append(it, lr, loss.item(), ce_g, ce_a)
     return curve

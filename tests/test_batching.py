@@ -237,6 +237,17 @@ def test_dropout_draws_match_drawing_set_by_set():
         npt.assert_array_equal(draws.random((sum(RAGGED), w)), want)
     with pytest.raises(UsageError):
         draws.random((sum(RAGGED), 4))
+    for sizes, widths in (((12,) * 16, (32, 64, 32)), (RAGGED, (8, 16, 8) * 2), ((1,), (4,)),
+                          (RAGGED, ())):
+        rng, ref = np.random.default_rng(13), np.random.default_rng(13)
+        draws = DropoutDraws(rng, sizes, widths)
+        per_set = [[ref.random((n, w)) for w in widths] for n in sizes]
+        for site, w in enumerate(widths):
+            want = np.concatenate([masks[site] for masks in per_set])
+            assert draws.random((sum(sizes), w)).tobytes() == want.tobytes()
+        # the stream ends where the per-site draws leave it, so a resumed
+        # run's advance past sum(sizes) * sum(widths) draws stays exact
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_training_step_matches_the_one_scene_loop_with_dropout():

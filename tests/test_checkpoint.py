@@ -182,6 +182,7 @@ _BAD_METADATA = [
     (_branch, "cfg.pe_stage", None),
     (_branch, "cfg.d_model", "6"),  # BranchConfig: not divisible by 4
     (_branch, "cfg.pe_stage", "sideways"),
+    (_branch, "cfg.pe_scale", "nan"),  # BranchConfig: pe_scale must be finite and positive
     (_branch, "kind", "mystery"),
     (_early, "branches", "rgb,nope"),
     (_early, "branches", None),
@@ -284,3 +285,19 @@ def test_overflowing_tensor_shape_is_a_parse_error(tmp_path):
     path.write_bytes(blob.replace(dims, struct.pack("<2Q", 2**32, 2**32)))
     with pytest.raises(ParseError, match=str(path)):
         read_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["enc/layer1/ff1_w", "optim/m/embed_w", "optim/step"])
+def test_non_finite_tensor_is_a_parse_error_naming_it(tmp_path, name, value):
+    path = tmp_path / "model.ckpt"
+    model = BranchModel("static", _cfg(), rng_for(8, "init"))
+    slots = [("optim/step", np.array(3.0)), ("optim/m/embed_w", np.zeros((8, 8)))]
+    save_model(path, model, extra_tensors=slots)
+    meta, tensors = read_checkpoint(path)
+    arr = dict(tensors)[name]
+    arr.reshape(-1)[arr.size // 2] = value
+    write_checkpoint(path, meta, tensors)
+    with pytest.raises(ParseError, match=name) as info:
+        load_model(path)
+    assert info.value.path == str(path)

@@ -55,6 +55,9 @@ def test_value_errors_name_the_key():
         config_from_pairs({"use_pe": "maybe"})
     with pytest.raises(ConfigError, match="rule"):
         config_from_pairs({"rule": "telepathy"})
+    for value in ("nan", "inf", "0", "-1"):
+        with pytest.raises(ConfigError, match="pe_scale"):
+            config_from_pairs({"pe_scale": value})
 
 
 def test_typed_values_and_defaults():
@@ -132,3 +135,4 @@ def test_readme_config_tables_match_the_schema():
         assert len(texts) == len(keys), (keys, cell)
         for key, text in zip(keys, texts):
             assert parsers[key](text) == getattr(defaults, key), key
+

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from groupact.errors import ConfigError, DataError, ShapeError
+from groupact.errors import ConfigError, DataError, NumericsError, ShapeError
 from groupact.model import (
     BranchConfig,
     BranchInput,
@@ -43,6 +43,9 @@ def test_branch_config_validation():
     with pytest.raises(ConfigError):
         # position codes split between axes, so the encoded width must be 4k
         _cfg(use_pe=True, d_model=6, num_heads=2, feature_dim=6)
+    for pe_scale in (float("nan"), float("inf"), 0.0, -100.0):
+        with pytest.raises(ConfigError, match="pe_scale"):
+            _cfg(use_pe=True, pe_scale=pe_scale)
     with pytest.raises(ConfigError):
         _cfg(use_pe=True, pe_stage="pre-embed", feature_dim=6)
     _cfg(use_pe=True, pe_stage="pre-embed", feature_dim=8)
@@ -268,3 +271,21 @@ def test_single_branch_joint_loss_gradcheck():
         return joint_loss(pred, 2, [0, 1, 2])
 
     check_gradients(loss, model.parameters())
+
+
+@pytest.mark.parametrize("kind", ["branch", "early-concat", "late"])
+def test_forward_with_a_nan_weight_raises_numerics_error(kind):
+    rng = rng_for(21, "init")
+    if kind == "branch":
+        model = BranchModel("a", _cfg(), rng)
+    elif kind == "early-concat":
+        model = EarlyFusionModel("concat", {"a": 8, "b": 8}, _cfg(), rng)
+    else:
+        model = LateFusionModel({b: BranchModel(b, _cfg(), rng) for b in ("a", "b")},
+                                {"a": 1.0, "b": 1.0})
+    inp = _scene_input(np.random.default_rng(22))
+    model.forward({"a": inp, "b": inp})  # finite weights run
+    _, t = model.parameters()[0]
+    t.data.reshape(-1)[0] = np.nan
+    with pytest.raises(NumericsError):
+        model.forward({"a": inp, "b": inp})

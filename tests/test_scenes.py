@@ -218,9 +218,13 @@ def test_tampered_label_is_a_parse_error(tmp_path):
 
 def test_bad_header_is_a_parse_error(tmp_path):
     path = tmp_path / "ds.scenes"
-    path.write_text("groupact-dataset v2\n")
-    with pytest.raises(ParseError):
+    save_dataset(generate(_vb_cfg(seed=15), 3), path)
+    lines = path.read_text().splitlines()
+    lines[0] = "groupact-dataset v9"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="header") as info:
         load_dataset(path)
+    assert info.value.path == str(path) and info.value.line_no == 1
 
 
 def test_v1_dataset_is_rejected_with_a_hint_to_regenerate(tmp_path):
@@ -234,3 +238,19 @@ def test_v1_dataset_is_rejected_with_a_hint_to_regenerate(tmp_path):
     with pytest.raises(ParseError, match="regenerate") as exc:
         load_dataset(path)
     assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("block", ["prototypes static", "centers", "features static"])
+def test_non_finite_values_are_a_parse_error_naming_the_line(tmp_path, token, block):
+    path = tmp_path / "ds.scenes"
+    save_dataset(generate(_vb_cfg(seed=17), 3), path)
+    lines = path.read_text().splitlines()
+    no = lines.index(block) + 2  # 1-based number of the block's second row
+    cells = lines[no - 1].split()
+    cells[-1] = token
+    lines[no - 1] = " ".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="non-finite") as info:
+        load_dataset(path)
+    assert info.value.path == str(path) and info.value.line_no == no

@@ -15,18 +15,21 @@ from groupact.model import (
     predict,
 )
 from groupact.scenes import SceneConfig, generate
-from groupact.seeding import rng_for
-from groupact.tensor import MODE_TRAIN, Graph, Tensor, matmul, reshape
+from groupact.seeding import SHUFFLE, rng_for
+from groupact.tensor import MODE_TRAIN, Graph, Tensor, matmul, mul, reshape
 from groupact.training import (
     Adam,
     LossCurve,
     SgdMomentum,
     TrainConfig,
+    _SceneStream,
     joint_loss,
     lr_at,
     make_optimizer,
     train,
 )
+
+from helpers import check_gradients
 
 LOG8_PLUS_LOG9 = 4.276666119016055
 
@@ -258,10 +261,12 @@ def test_train_loss_decreases_on_separable_toy():
 
 def test_train_diverges_with_huge_lr():
     scenes = _easy_dataset(8, seed=11).scenes
-    cfg = TrainConfig(lr_schedule=((0, 1e300),), total_iterations=50, batch_size=4, seed=5)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(TrainingDiverged, match="iteration"):
-            train(_model(12), scenes, cfg)
+    # the iterations at which these rates first give non-finite values
+    for lr, iteration in ((1e300, 1), (1e30, 6)):
+        cfg = TrainConfig(lr_schedule=((0, lr),), total_iterations=50, batch_size=4, seed=5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDiverged, match=f"iteration {iteration} "):
+                train(_model(12), scenes, cfg)
 
 
 def test_train_resume_with_dropout_matches_straight_run():
@@ -304,3 +309,101 @@ def test_train_leaves_no_garbage_cycles():
     finally:
         gc.enable()
     assert found < 100
+
+
+class _Scaled:
+    """A one-weight model: every scene's activity logits are w * scale, finite
+    values whose loss or gradients can still overflow."""
+
+    kind = "branch"
+    encoder = None
+
+    def __init__(self, w, scale):
+        self.w = Tensor(np.asarray(w, dtype=np.float64), requires_grad=True)
+        self.scale = scale
+
+    def parameters(self):
+        return [("w", self.w)]
+
+    def forward_batch(self, batch, mode, rng):
+        sizes = [inputs["static"].features.shape[0] for inputs in batch]
+        ones = Tensor(np.ones((len(batch), 1)))
+        actions = Tensor(np.zeros((sum(sizes), 3)))
+        return Prediction(actions, mul(matmul(ones, self.w), self.scale), sizes=tuple(sizes))
+
+
+@pytest.mark.parametrize("w, scale, lambda_g, what", [
+    # logits +-1e308 are finite, but their softmax overflows: an infinite loss
+    ([[1e308, -1e308]], 1.0, 1.0, "loss"),
+    # logits about 1 give a finite loss; d/dw = 1e308 * (dloss/dlogits) overflows
+    ([[1e-308, -1e-308]], 1e308, 1e10, "gradient"),
+])
+def test_divergence_is_caught_at_the_loss_and_the_gradients(w, scale, lambda_g, what):
+    scenes = _easy_dataset(8, seed=11).scenes
+    model = _Scaled(w, scale)
+    before = model.w.data.copy()
+    cfg = TrainConfig(lr_schedule=((0, 0.1),), total_iterations=3, batch_size=4,
+                      lambda_g=lambda_g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDiverged, match=f"iteration 0 .*non-finite {what}"):
+            train(model, scenes, cfg)
+    npt.assert_array_equal(model.w.data, before)  # raised before the optimizer step
+
+
+@pytest.mark.parametrize("skip", [0, 5, 12, 12 * 3 + 7])
+def test_scene_stream_skip_matches_take(skip):
+    actors = np.arange(12) % 5 + 1
+    stepped, skipped = (_SceneStream(12, rng_for(7, SHUFFLE)) for _ in range(2))
+    stepped.take(3)
+    skipped.take(3)
+    passed = stepped.take(skip)
+    assert skipped.skip(skip, actors) == actors[passed].sum()
+    npt.assert_array_equal(skipped.queue, stepped.queue)
+    assert skipped.rng.bit_generator.state == stepped.rng.bit_generator.state
+    npt.assert_array_equal(skipped.take(20), stepped.take(20))
+
+
+def test_optimizer_arena_survives_in_place_gradient_checks():
+    model = _model(30, dropout=0.0)
+    params = model.parameters()
+    initial = {name: t.data.copy() for name, t in params}
+    opt = Adam(params)
+    for name, t in params:  # packing copies the values
+        npt.assert_array_equal(t.data, initial[name], err_msg=name)
+    scene = _easy_dataset(4, seed=31).scenes[0]
+
+    def loss():
+        return joint_loss(model.forward(branch_inputs(scene), MODE_TRAIN), scene.activity,
+                          scene.actions)
+
+    # perturbs and restores every weight in place through the per-name views
+    check_gradients(loss, params)
+    grads = {name: t.grad.copy() for name, t in params}
+    assert any(g.any() for g in grads.values())
+    opt.step(0.01)
+    for name, t in params:
+        g = grads[name]
+        m, v = (1.0 - 0.9) * g, (1.0 - 0.999) * (g * g)
+        want = initial[name] - 0.01 * (m / (1.0 - 0.9)) / (np.sqrt(v / (1.0 - 0.999)) + 1e-10)
+        npt.assert_array_equal(t.data, want, err_msg=name)
+        npt.assert_array_equal(opt.m[name], m, err_msg=name)
+    opt.zero_grads()
+    assert not any(t.grad.any() for _, t in params)
+
+
+def test_second_optimizer_over_the_same_parameters_updates_them():
+    model = _model(32)
+    params = model.parameters()
+    first = SgdMomentum(params, momentum=0.0)
+    second = SgdMomentum(params, momentum=0.0)
+    for rate, opt in ((0.1, second), (0.2, first)):
+        before = [t.data.copy() for _, t in params]
+        for _, t in params:
+            t.grad[...] = 1.0
+        opt.step(rate)
+        for (name, t), old in zip(params, before):
+            npt.assert_array_equal(t.data, old - rate, err_msg=name)
+    # training with a fresh default optimizer moves the same weights too
+    before = [t.data.copy() for _, t in params]
+    train(model, _easy_dataset(8).scenes, TrainConfig(total_iterations=1, batch_size=4))
+    assert any((t.data != old).any() for (_, t), old in zip(params, before))
