@@ -27,7 +27,7 @@ from .model import (
     forward_branch,
     predict,
 )
-from .posenc import BoxCenter, apply_pe, pe_1d, pe_2d
+from .posenc import apply_pe
 from .scenes import (
     ActorScene,
     SceneConfig,

@@ -254,15 +254,15 @@ def cmd_attention_dump(cfg: RunConfig, out_dir: Path, checkpoint: Path) -> int:
     for sid in ids:
         if sid not in by_id:
             raise ConfigError(f"scene id {sid} not in {cfg.test_data}")
-        pred = model.forward(branch_inputs(by_id[sid]), MODE_INFER, record_attention=True)
-        rec = pred.attention
-        if rec is None:
+        rec = model.forward(branch_inputs(by_id[sid]), MODE_INFER, record_attention=True).attention
+        # late fusion records one entry per branch, None for a branch without an encoder
+        per_branch = rec if isinstance(rec, dict) else {None: rec}
+        records = {b: sub for b, sub in per_branch.items() if sub is not None}
+        if not records:
             raise UsageError("this model has no encoder, so there is no attention to dump")
-        if isinstance(rec, dict):
-            for branch, sub in rec.items():
-                written += _dump_record(out_dir, f"attention_{branch}_", sid, sub)
-        else:
-            written += _dump_record(out_dir, "attention_", sid, rec)
+        for b, sub in records.items():
+            prefix = "attention_" if b is None else f"attention_{b}_"
+            written += _dump_record(out_dir, prefix, sid, sub)
     print(f"wrote {written} attention matrices to {out_dir}")
     return 0
 

@@ -13,9 +13,9 @@ ones are the CLI's own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
+from .fileio import read_text
 from .model import (
     DEFAULT_LATE_WEIGHTS,
     EARLY_PE_AFTER_FUSION,
@@ -232,9 +232,9 @@ def load_run_config(path=None, overrides=None) -> RunConfig:
     pairs = {}
     if path is not None:
         try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}") from None
+            text = read_text(path)
+        except ParseError as exc:
+            raise ConfigError(str(exc)) from None
         pairs.update(parse_config_text(text, source=str(path)))
     if overrides:
         pairs.update({k: str(v) for k, v in overrides.items()})

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, UsageError
-from .fileio import atomic_write_text, f17
+from .fileio import atomic_write_text, f17, read_text
 from .model import branch_inputs, predict
 from .tensor import MODE_INFER
 
@@ -51,27 +51,16 @@ class EvalReport:
         )
 
 
-def _predict_chunk(model, chunk):
-    """(group id per scene, action id per actor, scene after scene) of a chunk.
-
-    Models with forward_batch run the chunk as one packed pass; any other
-    object with a one-scene forward() is run scene by scene.
-    """
-    inputs = [branch_inputs(scene) for scene in chunk]
-    if hasattr(model, "forward_batch"):
-        return predict(model.forward_batch(inputs, MODE_INFER))
-    preds = [predict(model.forward(one, MODE_INFER)) for one in inputs]
-    return [g for g, _ in preds], np.concatenate([a for _, a in preds])
-
-
 def evaluate_model(model, scenes, num_actions: int, num_activities: int) -> EvalReport:
+    """Confusion matrices of model.forward_batch over the scenes, run in
+    packed chunks of EVAL_CHUNK scenes."""
     if not scenes:
         raise UsageError("evaluate_model needs at least one scene")
     group_conf = np.zeros((num_activities, num_activities), dtype=np.int64)
     action_conf = np.zeros((num_actions, num_actions), dtype=np.int64)
     for start in range(0, len(scenes), EVAL_CHUNK):
         chunk = scenes[start:start + EVAL_CHUNK]
-        groups, actions = _predict_chunk(model, chunk)
+        groups, actions = predict(model.forward_batch([branch_inputs(s) for s in chunk], MODE_INFER))
         np.add.at(group_conf, ([scene.activity for scene in chunk], groups), 1)
         np.add.at(action_conf, (np.concatenate([scene.actions for scene in chunk]), actions), 1)
     return EvalReport(len(scenes), group_conf, action_conf)
@@ -86,7 +75,7 @@ def _confusion_csv(matrix: np.ndarray) -> str:
 
 
 def _parse_confusion(path) -> np.ndarray:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     if not lines or not lines[0].startswith("true\\pred,"):
         raise ParseError(path, 1, "bad confusion-matrix header")
     width = len(lines[0].split(",")) - 1
@@ -98,9 +87,11 @@ def _parse_confusion(path) -> np.ndarray:
         if cells[0] != str(no - 2):
             raise ParseError(path, no, f"expected row label {no - 2}, got {cells[0]!r}")
         try:
-            rows.append([int(c) for c in cells[1:]])
-        except ValueError:
+            rows.append(np.array([int(c) for c in cells[1:]], dtype=np.int64))
+        except (ValueError, OverflowError):
             raise ParseError(path, no, "bad count") from None
+        if (rows[-1] < 0).any():
+            raise ParseError(path, no, "negative count")
     if len(rows) != width:
         raise ParseError(path, len(lines), f"expected {width} rows, got {len(rows)}")
     return np.array(rows, dtype=np.int64)
@@ -125,7 +116,7 @@ def write_report(report: EvalReport, out_dir) -> None:
 def read_report(out_dir) -> EvalReport:
     out_dir = Path(out_dir)
     path = out_dir / SUMMARY_FILE
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != "metric,value":
         raise ParseError(path, 1, "bad summary header")
     values = {}
@@ -133,18 +124,20 @@ def read_report(out_dir) -> EvalReport:
         cells = line.split(",")
         if len(cells) != 2:
             raise ParseError(path, no, "expected metric,value")
-        values[cells[0]] = cells[1]
+        values[cells[0]] = (no, cells[1])
     for needed in ("scenes", "group_accuracy", "action_accuracy"):
         if needed not in values:
             raise ParseError(path, 1, f"summary is missing {needed!r}")
-    report = EvalReport(
-        int(values["scenes"]),
-        _parse_confusion(out_dir / GROUP_CONFUSION_FILE),
-        _parse_confusion(out_dir / ACTION_CONFUSION_FILE),
-    )
-    # The stored accuracy lines must agree with the matrices they sit next to.
-    if float(values["group_accuracy"]) != report.group_accuracy:
-        raise ParseError(path, 1, "group_accuracy disagrees with the confusion matrix")
-    if float(values["action_accuracy"]) != report.action_accuracy:
-        raise ParseError(path, 1, "action_accuracy disagrees with the confusion matrix")
+    group = _parse_confusion(out_dir / GROUP_CONFUSION_FILE)
+    action = _parse_confusion(out_dir / ACTION_CONFUSION_FILE)
+    no, scenes = values["scenes"]
+    # The stored lines must agree with the matrices they sit next to: one
+    # count per scene in group, at least one actor per scene in action.
+    if scenes != str(group.sum()) or not 1 <= group.sum() <= action.sum():
+        raise ParseError(path, no, "scene count disagrees with the confusion matrices")
+    report = EvalReport(int(scenes), group, action)
+    for name in ("group_accuracy", "action_accuracy"):
+        no, text = values[name]
+        if text != f17(getattr(report, name)):
+            raise ParseError(path, no, f"{name} disagrees with the confusion matrix")
     return report

@@ -1,10 +1,12 @@
-"""Small file helpers shared by the writers in this package."""
+"""Small file helpers shared by the readers and writers in this package."""
 
 from __future__ import annotations
 
 import os
 import tempfile
 from pathlib import Path
+
+from .errors import ParseError
 
 
 def f17(x: float) -> str:
@@ -37,3 +39,16 @@ def atomic_write(path, data: bytes) -> None:
 def atomic_write_text(path, text: str) -> None:
     """atomic_write of text encoded as UTF-8."""
     atomic_write(path, text.encode("utf-8"))
+
+
+def read_text(path) -> str:
+    """A file's UTF-8 text, or a ParseError that names the file (and the line
+    of the first byte that is not UTF-8)."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ParseError(path, 0, f"cannot read file: {exc.strerror}") from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None

@@ -155,7 +155,9 @@ def pack_inputs(batch: Sequence[Mapping[str, BranchInput]], feature_dims: Mappin
 
     Returns ({branch: BranchInput over all actors}, per-scene actor counts).
     Every scene must carry every branch in feature_dims, with that width and
-    one actor count across its branches.
+    one actor count across its branches, and every box center must lie in
+    [0, 1]. This is the one place a model checks its input centers; every
+    forward and forward_batch goes through it.
     """
     if not batch:
         raise DataError("a batch needs at least one scene")
@@ -176,6 +178,12 @@ def pack_inputs(batch: Sequence[Mapping[str, BranchInput]], feature_dims: Mappin
     packed = {b: BranchInput(np.concatenate([inputs[b].features for inputs in batch]),
                              np.concatenate([inputs[b].centers for inputs in batch]))
               for b in feature_dims}
+    for b, inp in packed.items():
+        centers = inp.centers
+        # one test per branch; a NaN fails it too
+        if not (centers.min() >= 0.0 and centers.max() <= 1.0):
+            x, y = centers[~((centers >= 0.0) & (centers <= 1.0)).all(axis=1)][0]
+            raise DataError(f"branch {b!r}: box center out of [0, 1]: ({x}, {y})")
     return packed, tuple(sizes)
 
 
@@ -231,7 +239,8 @@ def _heads(encoded: Tensor, action_w: Tensor, activity_w: Tensor, sizes):
 def forward_branch(inp: BranchInput, w: BranchWeights, mode=MODE_INFER, rng=None,
                    record_attention=False, sizes=None) -> Prediction:
     """One branch's forward pass. With sizes, inp packs that many scenes'
-    actors row after row and the Prediction is a batch."""
+    actors row after row and the Prediction is a batch. The centers of inp
+    are not checked here: models pass the output of pack_inputs."""
     cfg = w.cfg
     if inp.features.shape[1] != cfg.feature_dim:
         raise ShapeError(
@@ -392,8 +401,8 @@ class LateFusionModel:
         for b in self.branches:
             if b not in raw:
                 raise ConfigError(f"no fusion weight for branch {b!r}")
-            if raw[b] <= 0:
-                raise ConfigError(f"fusion weight for {b!r} must be positive, got {raw[b]}")
+            if not (math.isfinite(raw[b]) and raw[b] > 0):
+                raise ConfigError(f"fusion weight for {b!r} must be finite and positive, got {raw[b]}")
         total = sum(raw[b] for b in self.branches)
         self.weights = {b: raw[b] / total for b in self.branches}
 

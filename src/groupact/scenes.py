@@ -19,12 +19,13 @@ branch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
-from .fileio import atomic_write_text, f17
+from .fileio import atomic_write_text, f17, read_text
 from .seeding import DATA, rng_for
 
 RULE_KEY_ACTOR = "key-actor-side"
@@ -80,8 +81,8 @@ class SceneConfig:
                     "majority-action labels scenes with an action id, so "
                     f"num_activities must equal num_actions, got {self.num_activities}/{self.num_actions}"
                 )
-        if self.noise < 0:
-            raise ConfigError(f"noise must be >= 0, got {self.noise}")
+        if not (math.isfinite(self.noise) and self.noise >= 0):
+            raise ConfigError(f"noise must be finite and >= 0, got {self.noise}")
         if not 0.0 <= self.corrupt_prob <= 1.0:
             raise ConfigError(f"corrupt_prob must lie in [0, 1], got {self.corrupt_prob}")
         if self.complementary:
@@ -354,11 +355,7 @@ class _LineReader:
 
 
 def load_dataset(path) -> SceneDataset:
-    try:
-        text = open(path, encoding="utf-8").read()
-    except OSError as exc:
-        raise DataError(f"cannot read dataset: {exc}") from None
-    r = _LineReader(path, text)
+    r = _LineReader(path, read_text(path))
     header = r.next()
     if header != FORMAT_HEADER:
         # v1 files hold the same scenes plus a t_frames line generation never read

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericsError, ParseError, TrainingDiverged, UsageError
-from .fileio import atomic_write_text, f17
+from .fileio import atomic_write_text, f17, read_text
 from .model import Prediction, branch_inputs
 from .seeding import DROPOUT, SHUFFLE, rng_for
 from .tensor import MODE_TRAIN, DropoutDraws, Graph, Tensor, reshape, weighted_cross_entropy
@@ -240,7 +240,7 @@ class LossCurve:
 
     @staticmethod
     def read_csv(path):
-        lines = open(path, encoding="utf-8").read().splitlines()
+        lines = read_text(path).splitlines()
         if not lines or lines[0] != ",".join(CURVE_COLUMNS):
             raise ParseError(path, 1, "bad loss-curve header")
         curve = LossCurve()
@@ -252,6 +252,8 @@ class LossCurve:
                 curve.append(int(cells[0]), *[float(c) for c in cells[1:]])
             except ValueError as exc:
                 raise ParseError(path, no, str(exc)) from None
+            if not np.isfinite(curve.rows[-1][1:]).all():
+                raise ParseError(path, no, "non-finite value")
         return curve
 
 

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from groupact.errors import ConfigError, DataError
 from groupact.tensor import MODE_TRAIN, Graph
 
 FD_STEP = 1e-5
@@ -111,3 +112,36 @@ def oracle_key_actor_predict(scene, prototypes: dict, num_base: int):
     base = int(dists[key, :num_base].argmin())
     side = 1 if scene.centers[key, 0] > 0.5 else 0
     return base * 2 + side, actions
+
+
+def pe_1d(pos: float, dim: int) -> np.ndarray:
+    """Interleaved sin/cos code of one scalar position.
+
+    Slot 2i holds sin(pos / 10000^(2i/dim)), slot 2i+1 the matching cos.
+    dim must be even.
+    """
+    if dim <= 0 or dim % 2 != 0:
+        raise ConfigError(f"pe_1d needs a positive even dim, got {dim}")
+    exponents = np.arange(0, dim, 2) / dim
+    angles = pos / np.power(10000.0, exponents)
+    out = np.empty(dim)
+    out[0::2] = np.sin(angles)
+    out[1::2] = np.cos(angles)
+    return out
+
+
+def pe_2d(center, d_model: int, scale: float = 100.0) -> np.ndarray:
+    """Code for one box center: x ramp in dims [0, d/2), y ramp in [d/2, d).
+
+    The one-center oracle for posenc.pe_table.
+    """
+    if d_model <= 0 or d_model % 4 != 0:
+        raise ConfigError(f"pe_2d needs d_model divisible by 4, got {d_model}")
+    x, y = float(center[0]), float(center[1])
+    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+        raise DataError(f"box center out of [0, 1]: ({x}, {y})")
+    half = d_model // 2
+    out = np.empty(d_model)
+    out[:half] = pe_1d(x * scale, half)
+    out[half:] = pe_1d(y * scale, half)
+    return out

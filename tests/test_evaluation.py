@@ -41,6 +41,12 @@ class OracleModel:
         activity_logits[activity] = 1.0
         return Prediction(Tensor(action_logits), Tensor(activity_logits))
 
+    def forward_batch(self, batch, mode=None, rng=None, record_attention=False):
+        preds = [self.forward(inputs) for inputs in batch]
+        return Prediction(Tensor(np.concatenate([p.action_logits.data for p in preds])),
+                          Tensor(np.stack([p.activity_logits.data for p in preds])),
+                          sizes=tuple(p.action_logits.shape[0] for p in preds))
+
 
 def _dataset(noise, count=60, seed=0):
     cfg = SceneConfig(rule="key-actor-side", num_actions=5, num_activities=4,
