@@ -17,7 +17,7 @@ from .checkpoint import load_model, save_model
 from .config import RunConfig, load_run_config
 from .errors import ConfigError, DataError, GroupActError, UsageError
 from .evaluation import evaluate_model, write_report
-from .fileio import atomic_write_text, f17
+from .fileio import atomic_write_text, f17, float_lines
 from .model import (
     FUSION_EARLY_CONCAT,
     FUSION_EARLY_SUM,
@@ -227,11 +227,8 @@ def cmd_ablate(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _attention_csv(matrix) -> str:
-    n = matrix.shape[1]
-    lines = [",".join(f"actor{c}" for c in range(n))]
-    for row in matrix:
-        lines.append(",".join(f17(v) for v in row))
-    return "\n".join(lines) + "\n"
+    header = ",".join(f"actor{c}" for c in range(matrix.shape[1]))
+    return f"{header}\n{float_lines(matrix, sep=',')}\n"
 
 
 def _dump_record(out_dir: Path, prefix: str, scene_id: int, record) -> int:

@@ -6,12 +6,21 @@ import os
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ParseError
 
 
 def f17(x: float) -> str:
     """Shortest decimal form that round-trips a float64 exactly."""
     return format(float(x), ".17g")
+
+
+def float_lines(block, sep: str = " ") -> str:
+    """A (count, width) float block as count lines of sep-joined f17 values, in one
+    % operation: "%.17g" % x equals f17(x) for every float64."""
+    count, width = np.shape(block)
+    return "\n".join([sep.join(["%.17g"] * width)] * count) % tuple(np.ravel(block).tolist())
 
 
 def atomic_write(path, data: bytes) -> None:

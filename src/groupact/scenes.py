@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
-from .fileio import atomic_write_text, f17, read_text
+from .fileio import atomic_write_text, f17, float_lines, read_text
 from .seeding import DATA, rng_for
 
 RULE_KEY_ACTOR = "key-actor-side"
@@ -262,10 +262,6 @@ def majority_action(actions) -> int:
     return int(counts.argmax())
 
 
-def _floats_line(values) -> str:
-    return " ".join(f17(v) for v in values)
-
-
 def save_dataset(ds: SceneDataset, path) -> None:
     """Textual dump: self-describing header, prototypes, then scene records.
 
@@ -290,7 +286,7 @@ def save_dataset(ds: SceneDataset, path) -> None:
         lines.append(f"branch {name} {cfg.branch_dims[name]}")
     for name in cfg.branch_names:
         lines.append(f"prototypes {name}")
-        lines.extend(_floats_line(row) for row in ds.prototypes[name])
+        lines.append(float_lines(ds.prototypes[name]))
     lines.append(f"scenes {len(ds.scenes)}")
     for scene in ds.scenes:
         lines.append(f"scene {scene.scene_id}")
@@ -298,10 +294,10 @@ def save_dataset(ds: SceneDataset, path) -> None:
         lines.append(f"actors {scene.n_actors}")
         lines.append("actions " + " ".join(str(int(a)) for a in scene.actions))
         lines.append("centers")
-        lines.extend(_floats_line(row) for row in scene.centers)
+        lines.append(float_lines(scene.centers))
         for name in cfg.branch_names:
             lines.append(f"features {name}")
-            lines.extend(_floats_line(row) for row in scene.features[name])
+            lines.append(float_lines(scene.features[name]))
     lines.append("end")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
@@ -346,8 +342,18 @@ class _LineReader:
             self.fail("bad float")
 
     def float_rows(self, count: int, width: int) -> np.ndarray:
-        """The next count rows of width finite floats, as one (count, width) array."""
-        rows = np.stack([self.float_row(width) for _ in range(count)])
+        """The next count rows of width finite floats, as one (count, width) array
+        converted in one call. Its shape checks every row's width, so a long row next
+        to a short one cannot shift values between rows; a block that fails is read
+        row by row to name the first bad line."""
+        try:
+            rows = np.array(list(map(str.split, self.lines[self.no : self.no + count])), float)
+            if rows.shape != (count, width):
+                raise ValueError
+        except ValueError:  # a ragged block, a bad token or the end of the file
+            rows = np.stack([self.float_row(width) for _ in range(count)])
+        else:
+            self.no += count
         if not np.isfinite(rows).all():
             bad = int(np.argmin(np.isfinite(rows).all(axis=1)))
             raise ParseError(self.path, self.no - count + 1 + bad, "non-finite value")

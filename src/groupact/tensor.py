@@ -331,7 +331,7 @@ class SetLayout:
         if not self.uniform:
             slots = np.arange(self.width)
             self.mask = slots < sizes[:, None]  # (B, width): real rows
-            self.gather = np.where(self.mask, self.offsets[:, None] + slots, 0)
+            self.flat = np.flatnonzero(self.mask)  # padded slot of each packed row
 
     @staticmethod
     def of(sizes, rows: int) -> "SetLayout":
@@ -346,13 +346,15 @@ class SetLayout:
         """(N, d) -> (B, width, d) with padding slots set to fill."""
         if self.uniform:
             return x.reshape(self.count, self.width, x.shape[1])
-        return np.where(self.mask[:, :, None], x[self.gather], fill)
+        out = np.full((self.count * self.width, x.shape[1]), fill)
+        out[self.flat] = x
+        return out.reshape(self.count, self.width, x.shape[1])
 
     def unpad(self, x: np.ndarray) -> np.ndarray:
         """(B, width, d) -> (N, d), dropping the padding slots."""
         if self.uniform:
             return x.reshape(self.rows, x.shape[2])
-        return x[self.mask]
+        return x.reshape(-1, x.shape[2])[self.flat]
 
 
 def max_over_sets(a: Tensor, sizes=None) -> Tensor:

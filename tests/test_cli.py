@@ -246,3 +246,33 @@ def test_evaluate_on_an_empty_test_split_fails(tmp_path, capsys):
                  "--checkpoint", str(run / "model.ckpt")]) == 1
     assert str(data / "test.scenes") in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_attention_dump_bytes_are_the_per_value_f17_join(tmp_path):
+    from groupact.fileio import f17
+    from groupact.model import branch_inputs
+    from groupact.tensor import MODE_INFER
+
+    # ragged scenes and two heads, so the dump covers several matrix sizes
+    cfg = tmp_path / "ragged.cfg"
+    cfg.write_text(
+        BASE.replace("n_actors = 6", "n_actors = 3-9").replace("num_heads = 1", "num_heads = 2")
+        + f"train_data = {tmp_path / 'data' / 'train.scenes'}\n"
+        f"test_data = {tmp_path / 'data' / 'test.scenes'}\n"
+        "total_iterations = 10\nscene_ids = 36, 40\n"
+    )
+    for args in (["generate", "--out", str(tmp_path / "data")],
+                 ["train", "--out", str(tmp_path / "run")],
+                 ["attention-dump", "--out", str(tmp_path / "attn"),
+                  "--checkpoint", str(tmp_path / "run" / "model.ckpt")]):
+        assert main(args + ["--config", str(cfg)]) == 0
+    model, _, _ = load_model(tmp_path / "run" / "model.ckpt")
+    by_id = {s.scene_id: s for s in load_dataset(tmp_path / "data" / "test.scenes").scenes}
+    assert by_id[36].n_actors != by_id[40].n_actors
+    for sid in (36, 40):
+        rec = model.forward(branch_inputs(by_id[sid]), MODE_INFER, record_attention=True).attention
+        for hi, matrix in enumerate(rec.matrices[0]):
+            lines = [",".join(f"actor{c}" for c in range(matrix.shape[1]))]
+            lines += [",".join(f17(v) for v in row) for row in matrix]
+            got = (tmp_path / "attn" / f"attention_scene{sid}_layer0_head{hi}.csv").read_bytes()
+            assert got == ("\n".join(lines) + "\n").encode()

@@ -254,3 +254,50 @@ def test_non_finite_values_are_a_parse_error_naming_the_line(tmp_path, token, bl
     with pytest.raises(ParseError, match="non-finite") as info:
         load_dataset(path)
     assert info.value.path == str(path) and info.value.line_no == no
+
+
+@pytest.mark.parametrize("block, width", [("prototypes static", 16), ("centers", 2),
+                                          ("features static", 16)])
+def test_long_row_then_short_row_names_the_long_one(tmp_path, block, width):
+    # the block total stays right, so only a per-row width check catches it
+    path = tmp_path / "ds.scenes"
+    save_dataset(generate(_vb_cfg(seed=18), 3), path)
+    lines = path.read_text().splitlines()
+    no = lines.index(block) + 2  # 1-based number of the block's second row
+    long_row, short_row = lines[no - 1].split(), lines[no].split()
+    long_row.append(short_row.pop(0))
+    lines[no - 1], lines[no] = " ".join(long_row), " ".join(short_row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=f"expected {width} values, got {width + 1}") as info:
+        load_dataset(path)
+    assert info.value.path == str(path) and info.value.line_no == no
+
+
+def test_bad_float_token_names_its_line(tmp_path):
+    path = tmp_path / "ds.scenes"
+    save_dataset(generate(_vb_cfg(seed=19, branch_dims={"rgb": 8, "static": 16}), 3), path)
+    lines = path.read_text().splitlines()
+    no = lines.index("features static") + 4  # 1-based number of the block's third row
+    cells = lines[no - 1].split()
+    cells[5] = "1.2.3"
+    lines[no - 1] = " ".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="bad float") as info:
+        load_dataset(path)
+    assert info.value.path == str(path) and info.value.line_no == no
+
+
+def test_float_lines_matches_the_per_value_f17_join():
+    from groupact.fileio import f17, float_lines
+
+    rng = np.random.default_rng(20)
+    blocks = [
+        np.array([[-0.0, 5e-324, 1e308], [0.1, 1 / 3, -1e-310]]),
+        rng.standard_normal((7, 5)) * np.exp(rng.uniform(-700, 700, (7, 5))),
+        rng.standard_normal((1, 1)),
+    ]
+    for block in blocks:
+        for sep in (" ", ","):
+            want = "\n".join(sep.join(f17(v) for v in row) for row in block)
+            assert float_lines(block, sep=sep) == want
+    assert float_lines(np.array([[-0.0, 5e-324]])) == "-0 4.9406564584124654e-324"
