@@ -14,6 +14,8 @@ Every model runs a minibatch as one forward pass (forward_batch): the
 actors of all scenes are packed into one row matrix, and only attention and
 set pooling look at the scene boundaries. forward(inputs) is the batch of
 one. forward_batch raises NumericsError when its logits are not finite.
+Late fusion, too, packs a batch once for all its members, and branches that
+read the same centers share one position-code table per forward pass.
 """
 
 from __future__ import annotations
@@ -157,7 +159,8 @@ def pack_inputs(batch: Sequence[Mapping[str, BranchInput]], feature_dims: Mappin
     Every scene must carry every branch in feature_dims, with that width and
     one actor count across its branches, and every box center must lie in
     [0, 1]. This is the one place a model checks its input centers; every
-    forward and forward_batch goes through it.
+    forward and forward_batch goes through it. Branches whose scenes hold the
+    same centers arrays share one packed centers array, checked once.
     """
     if not batch:
         raise DataError("a batch needs at least one scene")
@@ -175,15 +178,17 @@ def pack_inputs(batch: Sequence[Mapping[str, BranchInput]], feature_dims: Mappin
                 raise ShapeError(f"branch {b!r} has {feats.shape[0]} actors, expected {n}")
             n = feats.shape[0]
         sizes.append(n)
-    packed = {b: BranchInput(np.concatenate([inputs[b].features for inputs in batch]),
-                             np.concatenate([inputs[b].centers for inputs in batch]))
-              for b in feature_dims}
-    for b, inp in packed.items():
-        centers = inp.centers
-        # one test per branch; a NaN fails it too
-        if not (centers.min() >= 0.0 and centers.max() <= 1.0):
-            x, y = centers[~((centers >= 0.0) & (centers <= 1.0)).all(axis=1)][0]
-            raise DataError(f"branch {b!r}: box center out of [0, 1]: ({x}, {y})")
+    packed, packed_centers = {}, {}
+    for b in feature_dims:
+        parts = [inputs[b].centers for inputs in batch]
+        key = tuple(map(id, parts))  # batch keeps every part alive, so ids are unique
+        if key not in packed_centers:
+            centers = packed_centers[key] = np.concatenate(parts)
+            if not (centers.min() >= 0.0 and centers.max() <= 1.0):  # a NaN fails it too
+                x, y = centers[~((centers >= 0.0) & (centers <= 1.0)).all(axis=1)][0]
+                raise DataError(f"branch {b!r}: box center out of [0, 1]: ({x}, {y})")
+        packed[b] = BranchInput(np.concatenate([inputs[b].features for inputs in batch]),
+                                packed_centers[key])
     return packed, tuple(sizes)
 
 
@@ -237,10 +242,10 @@ def _heads(encoded: Tensor, action_w: Tensor, activity_w: Tensor, sizes):
 
 
 def forward_branch(inp: BranchInput, w: BranchWeights, mode=MODE_INFER, rng=None,
-                   record_attention=False, sizes=None) -> Prediction:
+                   record_attention=False, sizes=None, codes=None) -> Prediction:
     """One branch's forward pass. With sizes, inp packs that many scenes'
     actors row after row and the Prediction is a batch. The centers of inp
-    are not checked here: models pass the output of pack_inputs."""
+    are not checked here: models pass pack_inputs' output. codes: see apply_pe."""
     cfg = w.cfg
     if inp.features.shape[1] != cfg.feature_dim:
         raise ShapeError(
@@ -248,14 +253,14 @@ def forward_branch(inp: BranchInput, w: BranchWeights, mode=MODE_INFER, rng=None
         )
     if sizes is None:
         return one_scene(forward_branch(inp, w, mode, rng, record_attention,
-                                        (inp.features.shape[0],)))
+                                        (inp.features.shape[0],), codes))
     layout = SetLayout.of(sizes, inp.features.shape[0])
     x = Tensor(inp.features)
     if cfg.use_pe and cfg.pe_stage == PE_PRE_EMBED:
-        x = apply_pe(x, inp.centers, cfg.pe_scale)
+        x = apply_pe(x, inp.centers, cfg.pe_scale, codes)
     x = embed(x, w.embed_w, w.embed_b)
     if cfg.use_pe and cfg.pe_stage == PE_POST_EMBED:
-        x = apply_pe(x, inp.centers, cfg.pe_scale)
+        x = apply_pe(x, inp.centers, cfg.pe_scale, codes)
     rec = None
     if w.encoder is not None:
         x, rec = encode(x, w.encoder, mode, rng, record_attention, layout)
@@ -343,13 +348,12 @@ class EarlyFusionModel:
                       rng=None, record_attention=False) -> Prediction:
         packed, sizes = pack_inputs(batch, self.feature_dims)
         layout = SetLayout(sizes)
-        centers = packed[self.branches[0]].centers
-        embedded = []
+        embedded, codes = [], {}
         for b in self.branches:
             w, bias = self.embeds[b]
             e = embed(Tensor(packed[b].features), w, bias)
             if self.cfg.use_pe and self.early_pe == EARLY_PE_PER_BRANCH:
-                e = apply_pe(e, packed[b].centers, self.cfg.pe_scale)
+                e = apply_pe(e, packed[b].centers, self.cfg.pe_scale, codes)
             embedded.append(e)
         if self.combine == "sum":
             x = embedded[0]
@@ -358,7 +362,7 @@ class EarlyFusionModel:
         else:
             x = matmul(concat_last_dim(embedded), self.proj)
         if self.cfg.use_pe and self.early_pe == EARLY_PE_AFTER_FUSION:
-            x = apply_pe(x, centers, self.cfg.pe_scale)
+            x = apply_pe(x, packed[self.branches[0]].centers, self.cfg.pe_scale)
         rec = None
         if self.encoder is not None:
             x, rec = encode(x, self.encoder, mode, rng, record_attention, layout)
@@ -412,11 +416,13 @@ class LateFusionModel:
 
     def forward_batch(self, batch: Sequence[Mapping[str, BranchInput]], mode=MODE_INFER,
                       rng=None, record_attention=False) -> Prediction:
-        action_mix = None
-        activity_mix = None
+        packed, sizes = pack_inputs(batch, {b: self.models[b].cfg.feature_dim for b in self.branches})
+        layout, codes = SetLayout(sizes), {}
+        action_mix = activity_mix = None
         recs = {}
         for b in self.branches:
-            pred = self.models[b].forward_batch(batch, mode, rng, record_attention)
+            pred = checked(forward_branch(packed[b], self.models[b].weights, mode, rng,
+                                          record_attention, layout, codes))
             wgt = self.weights[b]
             act = mul(softmax_rows(pred.action_logits), wgt)
             grp = mul(softmax_rows(pred.activity_logits), wgt)
@@ -426,9 +432,9 @@ class LateFusionModel:
         attention = None
         if record_attention:
             attention = [{b: None if recs[b] is None else recs[b][i] for b in self.branches}
-                         for i in range(len(pred.sizes))]
-        # the branches checked their logits; mixing their softmaxes stays finite
-        return Prediction(action_mix, activity_mix, attention, pred.sizes)
+                         for i in range(len(sizes))]
+        # every branch's logits passed checked(); mixing their softmaxes stays finite
+        return Prediction(action_mix, activity_mix, attention, sizes)
 
     def parameters(self):
         out = []

@@ -414,9 +414,14 @@ def load_dataset(path) -> SceneDataset:
             r.fail(f"expected prototypes for {name!r}")
         prototypes[name] = r.float_rows(num_actions, branch_dims[name])
     n_scenes = r.int_field("scenes")
-    scenes = []
+    if n_scenes < 0:
+        r.fail(f"negative scene count {n_scenes}")
+    scenes, seen = [], set()
     for _ in range(n_scenes):
         sid = r.int_field("scene")
+        if sid in seen:
+            r.fail(f"duplicate scene id {sid}")
+        seen.add(sid)
         activity = r.int_field("activity")
         if not 0 <= activity < num_activities:
             r.fail(f"activity {activity} out of range")

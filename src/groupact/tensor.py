@@ -317,20 +317,24 @@ class SetLayout:
     """
 
     def __init__(self, sizes):
-        sizes = np.asarray(sizes, dtype=np.int64)
-        if sizes.ndim != 1 or sizes.size == 0:
-            raise ShapeError(f"set sizes must be a non-empty 1-d sequence, got {sizes.tolist()}")
-        if sizes.min() < 1:
-            raise EmptySetError(f"every set needs at least one row, got sizes {sizes.tolist()}")
-        self.sizes = sizes
+        if type(sizes) is not tuple or not all(type(n) is int for n in sizes):
+            sizes = np.asarray(sizes, dtype=np.int64)  # pack_inputs' tuple of ints skips this
+            if sizes.ndim != 1:
+                raise ShapeError(f"set sizes must be a non-empty 1-d sequence, got {sizes.tolist()}")
+            sizes = tuple(sizes.tolist())
+        if not sizes:
+            raise ShapeError("set sizes must be a non-empty 1-d sequence, got []")
+        if min(sizes) < 1:
+            raise EmptySetError(f"every set needs at least one row, got sizes {list(sizes)}")
+        self.sizes = np.array(sizes, dtype=np.int64)
         self.count = len(sizes)
-        self.rows = int(sizes.sum())
-        self.width = int(sizes.max())
-        self.offsets = np.cumsum(sizes) - sizes
-        self.uniform = bool((sizes == self.width).all())
+        self.rows = sum(sizes)
+        self.width = max(sizes)
+        self.offsets = np.cumsum(self.sizes) - self.sizes
+        self.uniform = min(sizes) == self.width
         if not self.uniform:
             slots = np.arange(self.width)
-            self.mask = slots < sizes[:, None]  # (B, width): real rows
+            self.mask = slots < self.sizes[:, None]  # (B, width): real rows
             self.flat = np.flatnonzero(self.mask)  # padded slot of each packed row
 
     @staticmethod
@@ -468,9 +472,10 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(
             f"layer_norm: gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}"
         )
-    mu = a.data.mean(axis=1, keepdims=True)
+    # each mean is np.mean's own reduce-then-divide, without its Python wrapper
+    mu = a.data.sum(axis=1, keepdims=True) / d
     centered = a.data - mu
-    var = (centered * centered).mean(axis=1, keepdims=True)
+    var = (centered * centered).sum(axis=1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     x_hat = centered * inv_std
     gd = gain.data
@@ -478,8 +483,8 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     def make_vjp():
         def vjp(g):
             gx = g * gd
-            m1 = gx.mean(axis=1, keepdims=True)
-            m2 = (gx * x_hat).mean(axis=1, keepdims=True)
+            m1 = gx.sum(axis=1, keepdims=True) / d
+            m2 = (gx * x_hat).sum(axis=1, keepdims=True) / d
             dx = inv_std * (gx - m1 - x_hat * m2)
             return (dx, (g * x_hat).sum(axis=0), g.sum(axis=0))
 

@@ -12,6 +12,7 @@ import pytest
 
 from groupact.errors import EmptySetError, ShapeError, UsageError
 from groupact.evaluation import evaluate_model
+from groupact import posenc
 from groupact.model import (
     BranchConfig,
     BranchInput,
@@ -21,6 +22,7 @@ from groupact.model import (
     branch_inputs,
     predict,
 )
+from groupact.posenc import pe_table
 from groupact.scenes import SceneConfig, generate
 from groupact.seeding import DROPOUT, SHUFFLE, rng_for
 from groupact.tensor import (
@@ -29,10 +31,12 @@ from groupact.tensor import (
     DropoutDraws,
     Graph,
     Tensor,
+    add,
     max_over_set,
     max_over_sets,
     mul,
     set_attention,
+    softmax_rows,
     sum_all,
     weighted_cross_entropy,
 )
@@ -282,3 +286,60 @@ def test_training_step_matches_the_one_scene_loop_with_dropout():
     assert abs(loss_b - loss_s) <= RTOL * loss_s
     for name, g in grads_s.items():
         assert _gap(grads_b[name], g) <= RTOL, name
+
+
+def _member_mix(model, batch):
+    """Late fusion from its members' own forward_batch outputs, mixed by the
+    same ops: (action mix, activity mix, {branch: attention records})."""
+    action_mix = activity_mix = None
+    recs = {}
+    for b in model.branches:
+        pred = model.models[b].forward_batch(batch, MODE_INFER, record_attention=True)
+        act = mul(softmax_rows(pred.action_logits), model.weights[b])
+        grp = mul(softmax_rows(pred.activity_logits), model.weights[b])
+        action_mix = act if action_mix is None else add(action_mix, act)
+        activity_mix = grp if activity_mix is None else add(activity_mix, grp)
+        recs[b] = pred.attention
+    return action_mix, activity_mix, recs
+
+
+@pytest.mark.parametrize("pe", [dict(use_pe=False), dict(pe_stage="post-embed"),
+                                dict(pe_stage="pre-embed")])
+@pytest.mark.parametrize("sizes", [RAGGED, (1,), (4, 4, 4)])
+def test_late_fusion_packs_once_and_matches_its_members_bit_for_bit(pe, sizes):
+    rng = np.random.default_rng(5)
+    model = LateFusionModel({"a": BranchModel("a", _cfg(feature_dim=8, **pe), rng),
+                             "b": BranchModel("b", _cfg(num_heads=1, **pe), rng)},
+                            {"a": 2.0, "b": 1.0})
+    batch, _, _ = _batch(np.random.default_rng(6), sizes)
+    got = model.forward_batch(batch, MODE_INFER, record_attention=True)
+    action_mix, activity_mix, recs = _member_mix(model, batch)
+    assert got.sizes == sizes
+    assert got.action_logits.data.tobytes() == action_mix.data.tobytes()
+    assert got.activity_logits.data.tobytes() == activity_mix.data.tobytes()
+    for b in model.branches:
+        for i in range(len(sizes)):
+            want = _records(recs[b][i])
+            assert len(want) == 2 * (2 if b == "a" else 1)  # layers x heads
+            assert [m.tobytes() for m in _records(got.attention[i][b])] == \
+                [m.tobytes() for m in want]
+
+
+@pytest.mark.parametrize("kind", ["late", "early-concat-per-branch-pe"])
+@pytest.mark.parametrize("shared", [True, False])
+def test_branches_reading_the_same_centers_share_one_position_code_table(monkeypatch, kind,
+                                                                         shared):
+    model = MODELS[kind](np.random.default_rng(1))
+    batch, _, _ = _batch(np.random.default_rng(7), RAGGED)
+    if not shared:
+        batch = [{b: BranchInput(inp.features, inp.centers.copy()) for b, inp in s.items()}
+                 for s in batch]
+    want = model.forward_batch(batch, MODE_INFER)
+    calls = []
+    monkeypatch.setattr(posenc, "pe_table", lambda *args: calls.append(args) or pe_table(*args))
+    got = model.forward_batch(batch, MODE_INFER)
+    assert len(calls) == (1 if shared else len(DIMS))
+    assert got.activity_logits.data.tobytes() == want.activity_logits.data.tobytes()
+    calls.clear()
+    model.forward(batch[0], MODE_INFER)
+    assert len(calls) == (1 if shared else len(DIMS))

@@ -301,3 +301,27 @@ def test_float_lines_matches_the_per_value_f17_join():
             want = "\n".join(sep.join(f17(v) for v in row) for row in block)
             assert float_lines(block, sep=sep) == want
     assert float_lines(np.array([[-0.0, 5e-324]])) == "-0 4.9406564584124654e-324"
+
+
+def test_negative_scene_count_is_a_parse_error_naming_the_line(tmp_path):
+    path = tmp_path / "ds.scenes"
+    save_dataset(generate(_vb_cfg(seed=21), 2), path)
+    lines = path.read_text().splitlines()
+    no = lines.index("scenes 2") + 1
+    lines[no - 1:] = ["scenes -3", "end"]  # loaded as an empty dataset before the check
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="negative scene count -3") as info:
+        load_dataset(path)
+    assert info.value.path == str(path) and info.value.line_no == no
+
+
+def test_duplicate_scene_id_is_a_parse_error_naming_the_line(tmp_path):
+    path = tmp_path / "ds.scenes"
+    save_dataset(generate(_vb_cfg(seed=22), 3), path)
+    lines = path.read_text().splitlines()
+    no = lines.index("scene 2") + 1
+    lines[no - 1] = "scene 0"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="duplicate scene id 0") as info:
+        load_dataset(path)
+    assert info.value.path == str(path) and info.value.line_no == no

@@ -16,6 +16,7 @@ from groupact.tensor import (
     MODE_INFER,
     MODE_TRAIN,
     Graph,
+    SetLayout,
     Tensor,
     add,
     concat_last_dim,
@@ -397,3 +398,49 @@ def test_graph_exit_frees_the_tape():
     with pytest.raises(UsageError):
         with g:
             pass
+
+
+@pytest.mark.parametrize("sizes", [(1,), (3, 1, 5, 2, 1, 4), (4, 4, 4)])
+def test_set_layout_from_a_tuple_of_ints_equals_one_from_an_int64_array(sizes):
+    fast, ref = vars(SetLayout(sizes)), vars(SetLayout(np.array(sizes, dtype=np.int64)))
+    assert fast.keys() == ref.keys()
+    for name, want in ref.items():
+        got = fast[name]
+        assert type(got) is type(want), name
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        else:
+            assert got == want, name
+
+
+@pytest.mark.parametrize("sizes, error", [((), ShapeError), ((0,), EmptySetError),
+                                          ((2, 0), EmptySetError)])
+def test_set_layout_rejects_bad_sizes_alike_from_a_tuple_or_an_array(sizes, error):
+    with pytest.raises(error) as from_tuple:
+        SetLayout(sizes)
+    with pytest.raises(error) as from_array:
+        SetLayout(np.array(sizes, dtype=np.int64))
+    assert str(from_tuple.value) == str(from_array.value)
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (7, 32), (33, 64)])
+def test_layer_norm_is_bit_identical_to_the_np_mean_formula(shape):
+    rng = _rng(30)
+    x0, g0, b0, up = (rng.standard_normal(shape), rng.standard_normal(shape[1]),
+                      rng.standard_normal(shape[1]), rng.standard_normal(shape))
+    mu = x0.mean(axis=1, keepdims=True)
+    centered = x0 - mu
+    inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=1, keepdims=True) + 1e-5)
+    x_hat = centered * inv_std
+    gx = up * g0
+    dx = inv_std * (gx - gx.mean(axis=1, keepdims=True)
+                    - x_hat * (gx * x_hat).mean(axis=1, keepdims=True))
+    x, gain, bias = (Tensor(v, requires_grad=True) for v in (x0, g0, b0))
+    with Graph(MODE_TRAIN):
+        out = layer_norm(x, gain, bias)
+        sum_all(mul(out, Tensor(up))).backward()
+    assert out.data.tobytes() == (x_hat * g0 + b0).tobytes()
+    # leaves accumulate into zeroed grads, so the oracle does too (0.0 + -0.0 is 0.0)
+    assert x.grad.tobytes() == (np.zeros(shape) + dx).tobytes()
+    assert gain.grad.tobytes() == (np.zeros(shape[1]) + (up * x_hat).sum(axis=0)).tobytes()
+    assert bias.grad.tobytes() == (np.zeros(shape[1]) + up.sum(axis=0)).tobytes()
