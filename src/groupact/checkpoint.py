@@ -127,8 +127,8 @@ def _cfg_from_meta(prefix: str, meta: dict) -> BranchConfig:
                            for f in fields(BranchConfig)})
 
 
-def save_model(path, model, *, iteration: int = 0, extra_meta=None, extra_tensors=()) -> None:
-    """Serialise a model plus optional optimizer slots / caller metadata.
+def save_model(path, model, *, iteration: int = 0, extra_tensors=()) -> None:
+    """Serialise a model plus optional optimizer slots.
 
     extra_tensors names must not collide with model parameter names; the
     training loop namespaces optimizer slots under 'optim/'.
@@ -150,8 +150,6 @@ def save_model(path, model, *, iteration: int = 0, extra_meta=None, extra_tensor
             meta.update(_cfg_meta(f"cfg.{b}.", model.models[b].cfg))
     else:
         raise DataError(f"cannot serialise model kind {model.kind!r}")
-    if extra_meta:
-        meta.update(extra_meta)
     tensors = [(name, t.data) for name, t in model.parameters()]
     write_checkpoint(path, meta, list(tensors) + list(extra_tensors))
 

@@ -15,12 +15,10 @@ from pathlib import Path
 
 from .checkpoint import load_model, save_model
 from .config import RunConfig, load_run_config
-from .errors import ConfigError, DataError, GroupActError, UsageError
+from .errors import ConfigError, DataError, GroupActError, ParseError, UsageError
 from .evaluation import evaluate_model, write_report
 from .fileio import atomic_write_text, f17, float_lines
 from .model import (
-    FUSION_EARLY_CONCAT,
-    FUSION_EARLY_SUM,
     FUSION_LATE,
     FUSION_NONE,
     BranchModel,
@@ -28,7 +26,7 @@ from .model import (
     LateFusionModel,
     branch_inputs,
 )
-from .scenes import SceneDataset, generate, load_dataset, save_dataset
+from .scenes import SceneConfig, SceneDataset, generate, load_dataset, save_dataset
 from .seeding import INIT, rng_for
 from .tensor import MODE_INFER
 from .training import make_optimizer, train
@@ -49,116 +47,99 @@ def _require(cfg: RunConfig, key: str):
     return value
 
 
-def _split_counts(count: int, fraction: float):
-    n_train = int(round(count * fraction))
-    return min(max(n_train, 0), count)
+def _generate_split(cfg: RunConfig):
+    """(train, test) datasets: scene_count generated scenes, split at train_fraction."""
+    if not 0.0 <= cfg.train_fraction <= 1.0:
+        raise ConfigError(f"train_fraction must lie in [0, 1], got {cfg.train_fraction}")
+    ds = generate(cfg.scene_config(), cfg.scene_count)
+    n_train = int(round(cfg.scene_count * cfg.train_fraction))
+    return (SceneDataset(ds.config, ds.prototypes, ds.scenes[:n_train]),
+            SceneDataset(ds.config, ds.prototypes, ds.scenes[n_train:]))
 
 
 def cmd_generate(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.scene_count < 1:
         raise ConfigError(f"scene_count must be >= 1 to generate, got {cfg.scene_count}")
-    if not 0.0 <= cfg.train_fraction <= 1.0:
-        raise ConfigError(f"train_fraction must lie in [0, 1], got {cfg.train_fraction}")
-    ds = generate(cfg.scene_config(), cfg.scene_count)
-    n_train = _split_counts(cfg.scene_count, cfg.train_fraction)
+    train_ds, test_ds = _generate_split(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train_ds = SceneDataset(ds.config, ds.prototypes, ds.scenes[:n_train])
-    test_ds = SceneDataset(ds.config, ds.prototypes, ds.scenes[n_train:])
     save_dataset(train_ds, out_dir / TRAIN_FILE)
     save_dataset(test_ds, out_dir / TEST_FILE)
-    print(f"wrote {n_train} train / {cfg.scene_count - n_train} test scenes to {out_dir}")
+    print(f"wrote {len(train_ds.scenes)} train / {len(test_ds.scenes)} test scenes to {out_dir}")
     return 0
 
 
-def _dataset_branches(cfg: RunConfig, ds: SceneDataset):
-    wanted = cfg.fusion_branches or tuple(ds.config.branch_names)
-    for b in wanted:
-        if b not in ds.config.branch_dims:
-            raise ConfigError(f"branch {b!r} not in dataset (has {ds.config.branch_names})")
-    return tuple(sorted(wanted))
+def _build_model(cfg: RunConfig, head: SceneConfig, fusion: str, seed: int, **overrides):
+    """Fresh model of any fusion kind over the dataset's branches.
 
-
-def _build_model(cfg: RunConfig, ds: SceneDataset, fusion: str, seed: int, **overrides):
-    """Fresh model for one training run; weights drawn from the seed's init stream."""
-    head = ds.config
-    rng = rng_for(seed, INIT)
+    Single and early-fusion weights come from the seed's init stream; each
+    late-fusion member draws from its own init/<branch> stream.
+    """
+    names = (cfg.branch,) if fusion == FUSION_NONE else cfg.fusion_branches or head.branch_names
+    for b in names:
+        if b not in head.branch_dims:
+            raise ConfigError(f"branch {b!r} not in dataset (has {head.branch_names})")
+    dims = {b: head.branch_dims[b] for b in names}
 
     def bcfg(dim):
         return cfg.branch_config(dim, head.num_actions, head.num_activities, **overrides)
 
     if fusion == FUSION_NONE:
-        branch = cfg.branch
-        if branch not in head.branch_dims:
-            raise ConfigError(f"branch {branch!r} not in dataset (has {head.branch_names})")
-        return BranchModel(branch, bcfg(head.branch_dims[branch]), rng)
-    if fusion in (FUSION_EARLY_SUM, FUSION_EARLY_CONCAT):
-        names = _dataset_branches(cfg, ds)
-        fdims = {b: head.branch_dims[b] for b in names}
-        combine = "sum" if fusion == FUSION_EARLY_SUM else "concat"
-        return EarlyFusionModel(combine, fdims, bcfg(max(fdims.values())), rng,
-                                early_pe=cfg.early_pe)
-    raise ConfigError(f"cannot build a single model for fusion {fusion!r}")
+        return BranchModel(cfg.branch, bcfg(dims[cfg.branch]), rng_for(seed, INIT))
+    if fusion == FUSION_LATE:
+        members = {b: BranchModel(b, bcfg(dim), rng_for(seed, f"{INIT}/{b}"))
+                   for b, dim in dims.items()}
+        return LateFusionModel(members, cfg.late_weights)
+    return EarlyFusionModel(fusion.removeprefix("early-"), dims, bcfg(max(dims.values())),
+                            rng_for(seed, INIT), early_pe=cfg.early_pe)
 
 
-def _fit(cfg: RunConfig, ds: SceneDataset, fusion: str, seed: int, **overrides):
-    """Train per the config; returns (model, curves, optimizer or None).
+def _fit(cfg: RunConfig, model, scenes, seed: int, resume=None):
+    """Train a model from _build_model, or one loaded from a checkpoint.
 
-    Late fusion trains one model per branch and mixes them afterwards, so it
-    returns per-branch curves and no shared optimizer.
+    resume is (checkpoint path, iteration, extras) from load_model: training
+    starts at that iteration with the checkpoint's optimizer slots, if it
+    has any. Late fusion trains its members one after another. Returns the
+    loss curves by member name ("" for a single model) and the optimizer
+    slots to save, which late fusion does not keep.
     """
     tc = cfg.train_config(seed=seed)
-    if fusion == FUSION_LATE:
-        names = _dataset_branches(cfg, ds)
-        if len(names) < 2:
-            raise ConfigError("late fusion needs at least 2 branches in the dataset")
-        models, curves = {}, {}
-        head = ds.config
-        for b in names:
-            rng = rng_for(seed, f"{INIT}/{b}")
-            bcfg = cfg.branch_config(head.branch_dims[b], head.num_actions,
-                                     head.num_activities, **overrides)
-            models[b] = BranchModel(b, bcfg, rng)
-            curves[b] = train(models[b], ds.scenes, tc)
-        weights = {b: cfg.late_weights[b] for b in names if b in cfg.late_weights}
-        missing = [b for b in names if b not in weights]
-        if missing:
-            raise ConfigError(f"late_weights is missing branches {missing}")
-        return LateFusionModel(models, weights), curves, None
-    model = _build_model(cfg, ds, fusion, seed, **overrides)
-    optimizer = make_optimizer(tc, model.parameters())
-    curve = train(model, ds.scenes, tc, optimizer=optimizer)
-    return model, {"": curve}, optimizer
+    late = model.kind == FUSION_LATE
+    checkpoint, start, extras = resume or (None, 0, {})
+    curves = {}
+    for name, member in (model.models if late else {"": model}).items():
+        optimizer = make_optimizer(tc, member.parameters())
+        if any(key.startswith("optim/") for key in extras):
+            try:
+                optimizer.load_state(extras)
+            except DataError as exc:
+                raise ParseError(checkpoint, 0, str(exc)) from None
+        curves[name] = train(member, scenes, tc, start_iteration=start, optimizer=optimizer)
+    return curves, () if late else optimizer.state_tensors()
 
 
 def cmd_train(cfg: RunConfig, out_dir: Path, checkpoint: Path | None = None) -> int:
     ds = load_dataset(_require(cfg, "train_data"))
     if cfg.total_iterations < 1:
         raise ConfigError("total_iterations must be >= 1 to train")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if checkpoint is not None:
+    if checkpoint is None:
+        model, resume = _build_model(cfg, ds.config, cfg.fusion, cfg.seed), None
+    else:
         model, start_iter, extras = load_model(checkpoint)
-        if model.kind == "late":
+        if model.kind == FUSION_LATE:
             raise UsageError("resume is only supported for single-model checkpoints")
         if start_iter > cfg.total_iterations:
             raise UsageError(f"{checkpoint} is at iteration {start_iter}, past total_iterations "
                              f"{cfg.total_iterations}")
-        tc = cfg.train_config()
-        optimizer = make_optimizer(tc, model.parameters())
-        if any(name.startswith("optim/") for name in extras):
-            optimizer.load_state(extras)
-        curve = train(model, ds.scenes, tc, start_iteration=start_iter, optimizer=optimizer)
-        curves = {"": curve}
-    else:
-        model, curves, optimizer = _fit(cfg, ds, cfg.fusion, cfg.seed)
-    extra = optimizer.state_tensors() if optimizer is not None else ()
+        resume = (checkpoint, start_iter, extras)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    curves, slots = _fit(cfg, model, ds.scenes, cfg.seed, resume)
     save_model(out_dir / CHECKPOINT_FILE, model, iteration=cfg.total_iterations,
-               extra_tensors=extra)
+               extra_tensors=slots)
     for name, curve in curves.items():
-        filename = f"loss_{name}.csv" if name else "loss.csv"
-        curve.write_csv(out_dir / filename)
-    last = next(iter(curves.values())).rows[-1] if any(c.rows for c in curves.values()) else None
-    if last is not None:
-        print(f"trained to iteration {cfg.total_iterations}, last loss {last[2]:.6f}")
+        curve.write_csv(out_dir / (f"loss_{name}.csv" if name else "loss.csv"))
+    rows = next(iter(curves.values())).rows
+    if rows:
+        print(f"trained to iteration {cfg.total_iterations}, last loss {rows[-1][2]:.6f}")
     else:
         print(f"no iterations to run (already at {cfg.total_iterations})")
     return 0
@@ -178,13 +159,14 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path, checkpoint: Path) -> int:
 
 
 def _ablation_axes(cfg: RunConfig):
+    """Each axis sorted and without repeats, so their product is the row order."""
     return (
-        tuple(sorted(cfg.ablate_layers)) or (cfg.num_layers,),
-        tuple(sorted(cfg.ablate_heads)) or (cfg.num_heads,),
-        tuple(sorted(cfg.ablate_pe)) or (cfg.use_pe,),
-        tuple(sorted(cfg.ablate_encoder)) or (cfg.use_encoder,),
-        tuple(sorted(cfg.ablate_fusion)) or (cfg.fusion,),
-        tuple(sorted(cfg.ablate_seeds)) or (cfg.seed,),
+        tuple(sorted(set(cfg.ablate_layers))) or (cfg.num_layers,),
+        tuple(sorted(set(cfg.ablate_heads))) or (cfg.num_heads,),
+        tuple(sorted(set(cfg.ablate_pe))) or (cfg.use_pe,),
+        tuple(sorted(set(cfg.ablate_encoder))) or (cfg.use_encoder,),
+        tuple(sorted(set(cfg.ablate_fusion))) or (cfg.fusion,),
+        tuple(sorted(set(cfg.ablate_seeds))) or (cfg.seed,),
     )
 
 
@@ -197,32 +179,28 @@ def cmd_ablate(cfg: RunConfig, out_dir: Path) -> int:
         # every cell (and every rerun) sees identical scenes.
         if cfg.scene_count < 2:
             raise ConfigError("ablate needs train_data/test_data or scene_count >= 2")
-        ds = generate(cfg.scene_config(), cfg.scene_count)
-        n_train = _split_counts(cfg.scene_count, cfg.train_fraction)
-        if n_train in (0, cfg.scene_count):
+        train_ds, test_ds = _generate_split(cfg)
+        if not (train_ds.scenes and test_ds.scenes):
             raise ConfigError("train_fraction leaves an empty split")
-        train_ds = SceneDataset(ds.config, ds.prototypes, ds.scenes[:n_train])
-        test_ds = SceneDataset(ds.config, ds.prototypes, ds.scenes[n_train:])
     if cfg.total_iterations < 1:
         raise ConfigError("total_iterations must be >= 1 to ablate")
-    rows = []
-    for layers, heads, pe, enc, fusion, seed in itertools.product(*_ablation_axes(cfg)):
-        model, _, _ = _fit(cfg, train_ds, fusion, seed, num_layers=layers,
+    grid = list(itertools.product(*_ablation_axes(cfg)))
+    # every cell's model is built before any trains, so a bad cell fails first
+    models = [_build_model(cfg, train_ds.config, fusion, seed, num_layers=layers,
                            num_heads=heads, use_pe=pe, use_encoder=enc)
+              for layers, heads, pe, enc, fusion, seed in grid]
+    lines = [",".join(_ABLATION_COLUMNS)]
+    for (layers, heads, pe, enc, fusion, seed), model in zip(grid, models):
+        _fit(cfg, model, train_ds.scenes, seed)
         report = evaluate_model(model, test_ds.scenes, test_ds.config.num_actions,
                                 test_ds.config.num_activities)
-        rows.append((layers, heads, pe, enc, fusion, seed,
-                     report.group_accuracy, report.action_accuracy))
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[4], r[5]))
-    lines = [",".join(_ABLATION_COLUMNS)]
-    for layers, heads, pe, enc, fusion, seed, g_acc, a_acc in rows:
         lines.append(
             f"{layers},{heads},{'on' if pe else 'off'},{'on' if enc else 'off'},"
-            f"{fusion},{seed},{f17(g_acc)},{f17(a_acc)}"
+            f"{fusion},{seed},{f17(report.group_accuracy)},{f17(report.action_accuracy)}"
         )
     out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out_dir / ABLATION_FILE, "\n".join(lines) + "\n")
-    print(f"wrote {len(rows)} ablation rows to {out_dir / ABLATION_FILE}")
+    print(f"wrote {len(grid)} ablation rows to {out_dir / ABLATION_FILE}")
     return 0
 
 

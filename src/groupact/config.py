@@ -173,7 +173,7 @@ class RunConfig:
     ablate_heads: tuple = _key(_list_of(_parse_int), ())
     ablate_pe: tuple = _key(_list_of(_parse_bool), ())
     ablate_encoder: tuple = _key(_list_of(_parse_bool), ())
-    ablate_fusion: tuple = _key(_list_of(_identity), ())
+    ablate_fusion: tuple = _key(_list_of(_choice(FUSION_MODES)), ())
     ablate_seeds: tuple = _key(_list_of(_parse_int), ())
 
     def _build(self, cls, **given):

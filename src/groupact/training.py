@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericsError, ParseError, TrainingDiverged, UsageError
+from .errors import ConfigError, DataError, NumericsError, ParseError, TrainingDiverged, UsageError
 from .fileio import atomic_write_text, f17, read_text
 from .model import Prediction, branch_inputs
 from .seeding import DROPOUT, SHUFFLE, rng_for
@@ -139,9 +139,10 @@ def _slots(slot: str, store: dict) -> list:
 
 
 def _load_slots(extras: dict, slot: str, store: dict):
+    # extras is a plain dict; whoever read it from a file names the file
     for key, view in _slots(slot, store):
         if key not in extras:
-            raise ParseError("<checkpoint>", 0, f"missing optimizer slot {key!r}")
+            raise DataError(f"missing optimizer slot {key!r}")
         view[...] = extras[key]
 
 
@@ -213,7 +214,7 @@ class Adam:
 
     def load_state(self, extras: dict):
         if "optim/step" not in extras:
-            raise ParseError("<checkpoint>", 0, "missing optimizer slot 'optim/step'")
+            raise DataError("missing optimizer slot 'optim/step'")
         self.count = int(extras["optim/step"])
         _load_slots(extras, "m", self.m)
         _load_slots(extras, "v", self.v)

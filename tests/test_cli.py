@@ -29,14 +29,19 @@ seed = 0
 """
 
 
-def _write_cfg(tmp_path, name, extra=""):
+# three branches, for the fusion paths
+FUSED = BASE.replace("branches = static:8", "branches = static:8, dynamic-rgb:6, pose:4")
+LATE = "fusion = late\nlate_weights = static:2, dynamic-rgb:1, pose:1\n"
+
+
+def _write_cfg(tmp_path, name, extra="", base=BASE):
     path = tmp_path / name
-    path.write_text(BASE + extra)
+    path.write_text(base + extra)
     return path
 
 
-def _generate(tmp_path, out="data", extra=""):
-    cfg = _write_cfg(tmp_path, "gen.cfg", extra)
+def _generate(tmp_path, out="data", extra="", base=BASE):
+    cfg = _write_cfg(tmp_path, "gen.cfg", extra, base)
     assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
     return tmp_path / out
 
@@ -79,7 +84,7 @@ def test_unknown_config_key_fails(tmp_path, capsys):
     assert "sparkle" in capsys.readouterr().err
 
 
-def _train(tmp_path, data, out="run", iters=60, resume=None, extra=""):
+def _train_args(tmp_path, data, out="run", iters=60, resume=None, extra=""):
     cfg = _write_cfg(
         tmp_path, "train.cfg",
         f"train_data = {data / 'train.scenes'}\ntotal_iterations = {iters}\n" + extra,
@@ -87,7 +92,11 @@ def _train(tmp_path, data, out="run", iters=60, resume=None, extra=""):
     args = ["train", "--config", str(cfg), "--out", str(tmp_path / out)]
     if resume is not None:
         args += ["--checkpoint", str(resume)]
-    assert main(args) == 0
+    return args
+
+
+def _train(tmp_path, data, out="run", iters=60, resume=None, extra=""):
+    assert main(_train_args(tmp_path, data, out, iters, resume, extra)) == 0
     return tmp_path / out
 
 
@@ -107,11 +116,13 @@ def test_train_smoke_under_budget(tmp_path):
     assert curve.rows[-1][2] < curve.rows[0][2]
 
 
-def test_train_resume_continues_and_matches(tmp_path):
-    data = _generate(tmp_path)
-    full = _train(tmp_path, data, out="full", iters=80)
-    head = _train(tmp_path, data, out="head", iters=50)
-    tail = _train(tmp_path, data, out="tail", iters=80, resume=head / "model.ckpt")
+# a second input resumes an early-concat model of two branches
+@pytest.mark.parametrize("extra", ["", "fusion = early-concat\n"], ids=["none", "early-concat"])
+def test_train_resume_continues_and_matches(tmp_path, extra):
+    data = _generate(tmp_path, base=FUSED if extra else BASE)
+    full = _train(tmp_path, data, out="full", iters=80, extra=extra)
+    head = _train(tmp_path, data, out="head", iters=50, extra=extra)
+    tail = _train(tmp_path, data, out="tail", iters=80, resume=head / "model.ckpt", extra=extra)
 
     curve = LossCurve.read_csv(tail / "loss.csv")
     assert [row[0] for row in curve.rows] == list(range(50, 80))
@@ -175,6 +186,14 @@ def test_ablate_grid_rows_and_rerun(tmp_path):
     rerun = tmp_path / "grid2"
     assert main(["ablate", "--config", str(cfg), "--out", str(rerun)]) == 0
     assert (out / "ablation.csv").read_bytes() == (rerun / "ablation.csv").read_bytes()
+
+
+def test_ablate_rejects_a_nan_train_fraction(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "ablate.cfg", "total_iterations = 5\n",
+                     BASE.replace("train_fraction = 0.72", "train_fraction = nan"))
+    assert main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "grid")]) == 1
+    err = capsys.readouterr().err
+    assert "error: train_fraction must lie in [0, 1], got nan" in err
 
 
 def test_attention_dump_matrices(tmp_path):
@@ -276,3 +295,57 @@ def test_attention_dump_bytes_are_the_per_value_f17_join(tmp_path):
             lines += [",".join(f17(v) for v in row) for row in matrix]
             got = (tmp_path / "attn" / f"attention_scene{sid}_layer0_head{hi}.csv").read_bytes()
             assert got == ("\n".join(lines) + "\n").encode()
+
+
+def test_late_train_writes_one_curve_per_member_and_no_optimizer_slots(tmp_path, capsys):
+    data = _generate(tmp_path, base=FUSED)
+    run = _train(tmp_path, data, iters=10, extra=LATE)
+    assert sorted(p.name for p in run.iterdir()) == [
+        "loss_dynamic-rgb.csv", "loss_pose.csv", "loss_static.csv", "model.ckpt"]
+    for b in ("dynamic-rgb", "pose", "static"):
+        rows = LossCurve.read_csv(run / f"loss_{b}.csv").rows
+        assert [row[0] for row in rows] == list(range(10))
+    model, iteration, extras = load_model(run / "model.ckpt")
+    assert model.kind == "late" and iteration == 10
+    assert model.branches == ["dynamic-rgb", "pose", "static"]
+    assert extras == {}
+    # the printed loss is the first member's, in branch-name order
+    last = LossCurve.read_csv(run / "loss_dynamic-rgb.csv").rows[-1][2]
+    assert f"last loss {last:.6f}" in capsys.readouterr().out
+
+    args = _train_args(tmp_path, data, out="again", iters=20, resume=run / "model.ckpt", extra=LATE)
+    assert main(args) == 1
+    assert "single-model checkpoints" in capsys.readouterr().err
+    assert not (tmp_path / "again").exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    # the default weights name static and the two dynamic streams, not pose
+    ("fusion = late\n", "no fusion weight for branch 'pose'"),
+    ("fusion = early-sum\nfusion_branches = static, depth\n", "branch 'depth' not in dataset"),
+], ids=["late-weight", "fusion-branch"])
+def test_fusion_config_errors_fail_before_training(tmp_path, capsys, extra, message):
+    import time
+
+    data = _generate(tmp_path, base=FUSED)
+    args = _train_args(tmp_path, data, out="x", iters=20000, extra=extra)
+    t0 = time.time()
+    assert main(args) == 1
+    assert time.time() - t0 < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_optimizer_slot_error_names_the_checkpoint(tmp_path, capsys):
+    data = _generate(tmp_path)
+    sgd = _write_cfg(tmp_path, "sgd.cfg", f"train_data = {data / 'train.scenes'}\n"
+                     "total_iterations = 5\n", BASE.replace("adam", "sgd-momentum"))
+    head = tmp_path / "head"
+    assert main(["train", "--config", str(sgd), "--out", str(head)]) == 0
+    # Adam resumes from its step count, which an SGD checkpoint does not hold
+    args = _train_args(tmp_path, data, out="tail", iters=10, resume=head / "model.ckpt")
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert f"error: {head / 'model.ckpt'}:0: missing optimizer slot 'optim/step'" in err
+    assert not (tmp_path / "tail" / "model.ckpt").exists()

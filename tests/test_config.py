@@ -55,6 +55,8 @@ def test_value_errors_name_the_key():
         config_from_pairs({"use_pe": "maybe"})
     with pytest.raises(ConfigError, match="rule"):
         config_from_pairs({"rule": "telepathy"})
+    with pytest.raises(ConfigError, match="ablate_fusion"):
+        config_from_pairs({"ablate_fusion": "none, mid"})
     for value in ("nan", "inf", "0", "-1"):
         with pytest.raises(ConfigError, match="pe_scale"):
             config_from_pairs({"pe_scale": value})
