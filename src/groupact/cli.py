@@ -171,9 +171,9 @@ def _ablation_axes(cfg: RunConfig):
 
 
 def cmd_ablate(cfg: RunConfig, out_dir: Path) -> int:
-    if cfg.train_data and cfg.test_data:
-        train_ds = load_dataset(cfg.train_data)
-        test_ds = load_dataset(cfg.test_data)
+    if cfg.train_data or cfg.test_data:
+        train_ds = load_dataset(_require(cfg, "train_data"))
+        test_ds = load_dataset(_require(cfg, "test_data"))
     else:
         # Self-contained grid: the data comes from the shared root seed, so
         # every cell (and every rerun) sees identical scenes.

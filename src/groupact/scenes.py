@@ -187,70 +187,56 @@ def _draw_features(cfg, protos, actions, n, rng) -> dict:
     return feats
 
 
-def _draw_n(cfg, rng) -> int:
-    lo, hi = cfg.actor_range
-    return lo if lo == hi else int(rng.integers(lo, hi + 1))
+def _key_actor_scene(cfg, n, rng):
+    """(activity, actions, centers) of one scene labelled by one key actor's
+    action and field side. Draw order: base activity, side, key index,
+    background actions, centers, then the key actor's constrained x."""
+    base = int(rng.integers(cfg.num_base))
+    side = int(rng.integers(2))  # 0 = left, 1 = right
+    key = int(rng.integers(n))
+    actions = rng.integers(cfg.num_base, cfg.num_actions, size=n)
+    actions[key] = base
+    centers = rng.uniform(0.0, 1.0, size=(n, 2))
+    if side == 0:
+        centers[key, 0] = rng.uniform(SIDE_MARGIN, 0.5 - SIDE_MARGIN)
+    else:
+        centers[key, 0] = rng.uniform(0.5 + SIDE_MARGIN, 1.0 - SIDE_MARGIN)
+    return base * 2 + side, actions, centers
 
 
-def generate_volleyball_like(cfg: SceneConfig, count: int, start_id: int = 0) -> SceneDataset:
-    """Scenes labelled by one key actor's action and field side.
-
-    Per-scene draw order: actor count, base activity, side, key index,
-    background actions, centers, the key actor's constrained x, then
-    features branch by branch.
-    """
-    if cfg.rule != RULE_KEY_ACTOR:
-        raise ConfigError(f"config rule is {cfg.rule!r}")
-    rng = rng_for(cfg.seed, DATA)
-    protos = _draw_prototypes(cfg, rng)
-    scenes = []
-    for sid in range(start_id, start_id + count):
-        n = _draw_n(cfg, rng)
-        base = int(rng.integers(cfg.num_base))
-        side = int(rng.integers(2))  # 0 = left, 1 = right
-        key = int(rng.integers(n))
-        actions = rng.integers(cfg.num_base, cfg.num_actions, size=n)
-        actions[key] = base
-        centers = rng.uniform(0.0, 1.0, size=(n, 2))
-        if side == 0:
-            centers[key, 0] = rng.uniform(SIDE_MARGIN, 0.5 - SIDE_MARGIN)
-        else:
-            centers[key, 0] = rng.uniform(0.5 + SIDE_MARGIN, 1.0 - SIDE_MARGIN)
-        feats = _draw_features(cfg, protos, actions, n, rng)
-        scenes.append(ActorScene(sid, base * 2 + side, actions, centers, feats))
-    return SceneDataset(cfg, protos, scenes)
+def _majority_scene(cfg, n, rng):
+    """(activity, actions, centers) of one scene labelled by the action most
+    actors perform. Action vectors with a tied top count are redrawn, so the
+    winner is always unique."""
+    while True:
+        actions = rng.integers(0, cfg.num_actions, size=n)
+        counts = np.bincount(actions, minlength=cfg.num_actions)
+        top = counts.max()
+        if (counts == top).sum() == 1:
+            break
+    return int(counts.argmax()), actions, rng.uniform(0.0, 1.0, size=(n, 2))
 
 
-def generate_collective_like(cfg: SceneConfig, count: int, start_id: int = 0) -> SceneDataset:
-    """Scenes labelled by the action most actors perform.
-
-    Action vectors with a tied top count are redrawn, so the winner is
-    always unique.
-    """
-    if cfg.rule != RULE_MAJORITY:
-        raise ConfigError(f"config rule is {cfg.rule!r}")
-    rng = rng_for(cfg.seed, DATA)
-    protos = _draw_prototypes(cfg, rng)
-    scenes = []
-    for sid in range(start_id, start_id + count):
-        n = _draw_n(cfg, rng)
-        while True:
-            actions = rng.integers(0, cfg.num_actions, size=n)
-            counts = np.bincount(actions, minlength=cfg.num_actions)
-            top = counts.max()
-            if (counts == top).sum() == 1:
-                break
-        activity = int(counts.argmax())
-        centers = rng.uniform(0.0, 1.0, size=(n, 2))
-        feats = _draw_features(cfg, protos, actions, n, rng)
-        scenes.append(ActorScene(sid, activity, actions, centers, feats))
-    return SceneDataset(cfg, protos, scenes)
+_RULE_SCENES = {RULE_KEY_ACTOR: _key_actor_scene, RULE_MAJORITY: _majority_scene}
 
 
 def generate(cfg: SceneConfig, count: int, start_id: int = 0) -> SceneDataset:
-    if cfg.rule == RULE_KEY_ACTOR:
-        return generate_volleyball_like(cfg, count, start_id)
-    return generate_collective_like(cfg, count, start_id)
+    """count scenes with ids from start_id, labelled by cfg.rule.
+
+    Draw order: the prototypes, then per scene the actor count, the rule's
+    actions, centers and label, then features branch by branch.
+    """
+    rng = rng_for(cfg.seed, DATA)
+    protos = _draw_prototypes(cfg, rng)
+    rule_scene = _RULE_SCENES[cfg.rule]
+    lo, hi = cfg.actor_range
+    scenes = []
+    for sid in range(start_id, start_id + count):
+        n = lo if lo == hi else int(rng.integers(lo, hi + 1))
+        activity, actions, centers = rule_scene(cfg, n, rng)
+        feats = _draw_features(cfg, protos, actions, n, rng)
+        scenes.append(ActorScene(sid, activity, actions, centers, feats))
+    return SceneDataset(cfg, protos, scenes)
 
 
 def majority_action(actions) -> int:

@@ -22,6 +22,8 @@ and the parameter gradients of every step.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from .errors import (
@@ -70,16 +72,6 @@ class Graph:
         self.nodes.clear()
         self.closed = True
         return False
-
-    def _record(self, inputs, vjp):
-        self.nodes.append((inputs, vjp))
-        return len(self.nodes) - 1
-
-
-def _recording_graph():
-    if _GRAPH_STACK and _GRAPH_STACK[-1].mode == MODE_TRAIN:
-        return _GRAPH_STACK[-1]
-    return None
 
 
 class Tensor:
@@ -171,13 +163,13 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def _result(data, inputs, make_vjp):
+def _result(data, inputs, vjp):
     """Wrap op output, unchecked; record a node iff a train-mode graph is active."""
     out = Tensor(data, _check=False)
-    graph = _recording_graph()
-    if graph is not None:
-        out._graph = graph
-        out._node_id = graph._record(inputs, make_vjp())
+    if _GRAPH_STACK and _GRAPH_STACK[-1].mode == MODE_TRAIN:
+        graph = out._graph = _GRAPH_STACK[-1]
+        out._node_id = len(graph.nodes)
+        graph.nodes.append((inputs, vjp))
     return out
 
 
@@ -195,12 +187,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     else:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
 
-    def make_vjp():
-        if bias_rows:
-            return lambda g: (g, g.sum(axis=0))
-        return lambda g: (g, g)
+    def vjp(g):
+        return (g, g.sum(axis=0)) if bias_rows else (g, g)
 
-    return _result(a.data + b.data, (a, b), make_vjp)
+    return _result(a.data + b.data, (a, b), vjp)
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -209,19 +199,19 @@ def mul(a: Tensor, b) -> Tensor:
     if isinstance(b, (int, float)):
         c = float(b)
 
-        def make_vjp():
-            return lambda g: (g * c,)
+        def vjp(g):
+            return (g * c,)
 
-        return _result(a.data * c, (a,), make_vjp)
+        return _result(a.data * c, (a,), vjp)
     b = _as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
     ad, bd = a.data, b.data
 
-    def make_vjp():
-        return lambda g: (g * bd, g * ad)
+    def vjp(g):
+        return (g * bd, g * ad)
 
-    return _result(ad * bd, (a, b), make_vjp)
+    return _result(ad * bd, (a, b), vjp)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -232,10 +222,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: inner dims disagree, {a.shape} @ {b.shape}")
     ad, bd = a.data, b.data
 
-    def make_vjp():
-        return lambda g: (g @ bd.T, ad.T @ g)
+    def vjp(g):
+        return (g @ bd.T, ad.T @ g)
 
-    return _result(ad @ bd, (a, b), make_vjp)
+    return _result(ad @ bd, (a, b), vjp)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -243,10 +233,10 @@ def transpose(a: Tensor) -> Tensor:
     if a.ndim != 2:
         raise ShapeError(f"transpose: need a 2-d tensor, got {a.shape}")
 
-    def make_vjp():
-        return lambda g: (np.ascontiguousarray(g.T),)
+    def vjp(g):
+        return (np.ascontiguousarray(g.T),)
 
-    return _result(a.data.T, (a,), make_vjp)
+    return _result(a.data.T, (a,), vjp)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -256,20 +246,20 @@ def reshape(a: Tensor, shape) -> Tensor:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
     old_shape = a.shape
 
-    def make_vjp():
-        return lambda g: (g.reshape(old_shape),)
+    def vjp(g):
+        return (g.reshape(old_shape),)
 
-    return _result(a.data.reshape(shape), (a,), make_vjp)
+    return _result(a.data.reshape(shape), (a,), vjp)
 
 
 def relu(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     mask = a.data > 0
 
-    def make_vjp():
-        return lambda g: (g * mask,)
+    def vjp(g):
+        return (g * mask,)
 
-    return _result(np.maximum(a.data, 0.0), (a,), make_vjp)
+    return _result(np.maximum(a.data, 0.0), (a,), vjp)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -277,10 +267,10 @@ def sum_all(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     shape = a.shape
 
-    def make_vjp():
-        return lambda g: (np.broadcast_to(g, shape).copy(),)
+    def vjp(g):
+        return (np.broadcast_to(g, shape).copy(),)
 
-    return _result(a.data.sum(), (a,), make_vjp)
+    return _result(a.data.sum(), (a,), vjp)
 
 
 def concat_last_dim(parts) -> Tensor:
@@ -295,19 +285,13 @@ def concat_last_dim(parts) -> Tensor:
                 "concat_last_dim: all parts must be 2-d with equal row counts, got "
                 + ", ".join(str(q.shape) for q in parts)
             )
-    widths = [p.shape[1] for p in parts]
 
-    def make_vjp():
-        def vjp(g):
-            out, col = [], 0
-            for w in widths:
-                out.append(g[:, col : col + w])
-                col += w
-            return tuple(out)
+    def vjp(g):
+        # column views of g, one per part; np.split gives the same views 5-10x slower
+        edges = [0, *accumulate(p.shape[1] for p in parts)]
+        return [g[:, a:b] for a, b in zip(edges, edges[1:])]
 
-        return vjp
-
-    return _result(np.concatenate([p.data for p in parts], axis=1), tuple(parts), make_vjp)
+    return _result(np.concatenate([p.data for p in parts], axis=1), tuple(parts), vjp)
 
 
 class SetLayout:
@@ -379,15 +363,12 @@ def max_over_sets(a: Tensor, sizes=None) -> Tensor:
     cols = np.arange(a.shape[1])
     in_shape = a.shape
 
-    def make_vjp():
-        def vjp(g):
-            dx = np.zeros(in_shape)
-            dx[winners, cols] = g
-            return (dx,)
+    def vjp(g):
+        dx = np.zeros(in_shape)
+        dx[winners, cols] = g
+        return (dx,)
 
-        return vjp
-
-    return _result(a.data[winners, cols], (a,), make_vjp)
+    return _result(a.data[winners, cols], (a,), vjp)
 
 
 def max_over_set(a: Tensor) -> Tensor:
@@ -424,18 +405,15 @@ def set_attention(q: Tensor, k: Tensor, v: Tensor, sizes=None, record=None) -> T
         for i, n in enumerate(layout.sizes):
             record[i].append(w[i, :n, :n].copy())
 
-    def make_vjp():
-        def vjp(g):
-            gp = layout.pad(g)  # padded query rows get no gradient
-            dw = gp @ vp.transpose(0, 2, 1)
-            dscores = w * (dw - (dw * w).sum(axis=2, keepdims=True)) * scale
-            return (layout.unpad(dscores @ kp),
-                    layout.unpad(dscores.transpose(0, 2, 1) @ qp),
-                    layout.unpad(w.transpose(0, 2, 1) @ gp))
+    def vjp(g):
+        gp = layout.pad(g)  # padded query rows get no gradient
+        dw = gp @ vp.transpose(0, 2, 1)
+        dscores = w * (dw - (dw * w).sum(axis=2, keepdims=True)) * scale
+        return (layout.unpad(dscores @ kp),
+                layout.unpad(dscores.transpose(0, 2, 1) @ qp),
+                layout.unpad(w.transpose(0, 2, 1) @ gp))
 
-        return vjp
-
-    return _result(layout.unpad(w @ vp), (q, k, v), make_vjp)
+    return _result(layout.unpad(w @ vp), (q, k, v), vjp)
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -447,15 +425,12 @@ def softmax_rows(a: Tensor) -> Tensor:
     e = np.exp(z)
     y = e / e.sum(axis=1, keepdims=True)
 
-    def make_vjp():
-        def vjp(g):
-            # dL/dx = y * (g - sum_j g_j y_j) per row
-            dot = (g * y).sum(axis=1, keepdims=True)
-            return (y * (g - dot),)
+    def vjp(g):
+        # dL/dx = y * (g - sum_j g_j y_j) per row
+        dot = (g * y).sum(axis=1, keepdims=True)
+        return (y * (g - dot),)
 
-        return vjp
-
-    return _result(y, (a,), make_vjp)
+    return _result(y, (a,), vjp)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -480,17 +455,14 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     x_hat = centered * inv_std
     gd = gain.data
 
-    def make_vjp():
-        def vjp(g):
-            gx = g * gd
-            m1 = gx.sum(axis=1, keepdims=True) / d
-            m2 = (gx * x_hat).sum(axis=1, keepdims=True) / d
-            dx = inv_std * (gx - m1 - x_hat * m2)
-            return (dx, (g * x_hat).sum(axis=0), g.sum(axis=0))
+    def vjp(g):
+        gx = g * gd
+        m1 = gx.sum(axis=1, keepdims=True) / d
+        m2 = (gx * x_hat).sum(axis=1, keepdims=True) / d
+        dx = inv_std * (gx - m1 - x_hat * m2)
+        return (dx, (g * x_hat).sum(axis=0), g.sum(axis=0))
 
-        return vjp
-
-    return _result(x_hat * gd + bias.data, (a, gain, bias), make_vjp)
+    return _result(x_hat * gd + bias.data, (a, gain, bias), vjp)
 
 
 def dropout(a: Tensor, rate: float, mode: str, rng=None) -> Tensor:
@@ -511,10 +483,10 @@ def dropout(a: Tensor, rate: float, mode: str, rng=None) -> Tensor:
     keep = rng.random(a.shape) >= rate
     scaled_mask = keep / (1.0 - rate)
 
-    def make_vjp():
-        return lambda g: (g * scaled_mask,)
+    def vjp(g):
+        return (g * scaled_mask,)
 
-    return _result(a.data * scaled_mask, (a,), make_vjp)
+    return _result(a.data * scaled_mask, (a,), vjp)
 
 
 class DropoutDraws:
@@ -582,18 +554,15 @@ def weighted_cross_entropy(parts):
         rows_ce.append(ce)
         grads.append((probs, labels, weights))
 
-    def make_vjp():
-        def vjp(g):
-            out = []
-            for probs, labels, weights in grads:
-                dx = probs.copy()
-                dx[np.arange(len(labels)), labels] -= 1.0
-                out.append(dx * (weights * g)[:, None])
-            return tuple(out)
+    def vjp(g):
+        out = []
+        for probs, labels, weights in grads:
+            dx = probs.copy()
+            dx[np.arange(len(labels)), labels] -= 1.0
+            out.append(dx * (weights * g)[:, None])
+        return out
 
-        return vjp
-
-    return _result(loss, tuple(tensors), make_vjp), rows_ce
+    return _result(loss, tuple(tensors), vjp), rows_ce
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

@@ -138,11 +138,22 @@ def _slots(slot: str, store: dict) -> list:
     return [(f"optim/{slot}/{name}", view) for name, view in store.items()]
 
 
-def _load_slots(extras: dict, slot: str, store: dict):
+def _load_state(extras: dict, slots: list):
+    """Copy a checkpoint's optimizer slots into slots, an optimizer's
+    state_tensors(). The checkpoint's optim/ names must be exactly those, so
+    one optimizer's state never loads as another's."""
     # extras is a plain dict; whoever read it from a file names the file
-    for key, view in _slots(slot, store):
+    names = {key for key, _ in slots}
+    for key, _ in slots:
         if key not in extras:
             raise DataError(f"missing optimizer slot {key!r}")
+    for key in extras:
+        if key.startswith("optim/") and key not in names:
+            raise DataError(f"unexpected optimizer slot {key!r}")
+    for key, view in slots:
+        if extras[key].shape != view.shape:
+            raise DataError(f"optimizer slot {key!r} has shape {extras[key].shape}, "
+                            f"expected {view.shape}")
         view[...] = extras[key]
 
 
@@ -171,7 +182,7 @@ class SgdMomentum:
         return _slots("v", self.velocity)
 
     def load_state(self, extras: dict):
-        _load_slots(extras, "v", self.velocity)
+        _load_state(extras, self.state_tensors())
 
 
 class Adam:
@@ -213,11 +224,8 @@ class Adam:
         return step + _slots("m", self.m) + _slots("v", self.v)
 
     def load_state(self, extras: dict):
-        if "optim/step" not in extras:
-            raise DataError("missing optimizer slot 'optim/step'")
+        _load_state(extras, self.state_tensors())  # the step slot is a copy of count
         self.count = int(extras["optim/step"])
-        _load_slots(extras, "m", self.m)
-        _load_slots(extras, "v", self.v)
 
 
 def make_optimizer(cfg: TrainConfig, params):

@@ -196,6 +196,18 @@ def test_ablate_rejects_a_nan_train_fraction(tmp_path, capsys):
     assert "error: train_fraction must lie in [0, 1], got nan" in err
 
 
+@pytest.mark.parametrize("given, unset", [("train_data", "test_data"),
+                                           ("test_data", "train_data")])
+def test_ablate_with_one_data_file_names_the_unset_key(tmp_path, capsys, given, unset):
+    data = _generate(tmp_path)
+    split = {"train_data": "train.scenes", "test_data": "test.scenes"}[given]
+    cfg = _write_cfg(tmp_path, "ablate.cfg", f"{given} = {data / split}\ntotal_iterations = 5\n")
+    assert main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "grid")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(unset) in err and "Traceback" not in err
+    assert not (tmp_path / "grid").exists()
+
+
 def test_attention_dump_matrices(tmp_path):
     data = _generate(tmp_path)
     run = _train(tmp_path, data, iters=20)
@@ -348,4 +360,20 @@ def test_optimizer_slot_error_names_the_checkpoint(tmp_path, capsys):
     assert main(args) == 1
     err = capsys.readouterr().err
     assert f"error: {head / 'model.ckpt'}:0: missing optimizer slot 'optim/step'" in err
+    assert not (tmp_path / "tail" / "model.ckpt").exists()
+
+
+def test_sgd_resume_from_an_adam_checkpoint_is_refused(tmp_path, capsys):
+    data = _generate(tmp_path)
+    head = _train(tmp_path, data, out="head", iters=5)
+    # SGD's velocity names are Adam's second moments; Adam's other slots give it away
+    sgd = BASE.replace("adam", "sgd-momentum")
+    cfg = _write_cfg(tmp_path, "sgd.cfg", f"train_data = {data / 'train.scenes'}\n"
+                     "total_iterations = 10\n", sgd)
+    args = ["train", "--config", str(cfg), "--out", str(tmp_path / "tail"),
+            "--checkpoint", str(head / "model.ckpt")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {head / 'model.ckpt'}:0: unexpected optimizer slot")
+    assert "Traceback" not in err
     assert not (tmp_path / "tail" / "model.ckpt").exists()

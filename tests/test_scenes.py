@@ -7,8 +7,6 @@ from groupact.scenes import (
     SIDE_MARGIN,
     SceneConfig,
     generate,
-    generate_collective_like,
-    generate_volleyball_like,
     load_dataset,
     majority_action,
     save_dataset,
@@ -56,7 +54,7 @@ def test_config_validation():
 
 
 def test_volleyball_label_construction():
-    ds = generate_volleyball_like(_vb_cfg(seed=1), 200)
+    ds = generate(_vb_cfg(seed=1), 200)
     cfg = ds.config
     for scene in ds.scenes:
         assert 0 <= scene.activity < cfg.num_activities
@@ -73,7 +71,7 @@ def test_volleyball_label_construction():
 
 
 def test_volleyball_noiseless_oracle_is_perfect():
-    ds = generate_volleyball_like(_vb_cfg(noise=0.0, seed=2), 200)
+    ds = generate(_vb_cfg(noise=0.0, seed=2), 200)
     for scene in ds.scenes:
         activity, actions = oracle_key_actor_predict(scene, ds.prototypes, ds.config.num_base)
         assert activity == scene.activity
@@ -81,7 +79,7 @@ def test_volleyball_noiseless_oracle_is_perfect():
 
 
 def test_volleyball_mirroring_flips_side_labels():
-    ds = generate_volleyball_like(_vb_cfg(noise=0.0, seed=3), 100)
+    ds = generate(_vb_cfg(noise=0.0, seed=3), 100)
     for scene in ds.scenes:
         mirrored = scene.centers.copy()
         mirrored[:, 0] = 1.0 - mirrored[:, 0]
@@ -93,7 +91,7 @@ def test_volleyball_mirroring_flips_side_labels():
 
 
 def test_volleyball_label_frequencies_roughly_uniform():
-    ds = generate_volleyball_like(_vb_cfg(seed=4), 4000)
+    ds = generate(_vb_cfg(seed=4), 4000)
     counts = np.bincount([s.activity for s in ds.scenes], minlength=8)
     freqs = counts / 4000
     assert np.abs(freqs - 1 / 8).max() <= 0.03
@@ -107,17 +105,13 @@ def test_majority_action_by_hand():
 
 
 def test_collective_labels_self_consistent():
-    ds = generate_collective_like(_cc_cfg(seed=5), 300)
+    ds = generate(_cc_cfg(seed=5), 300)
     for scene in ds.scenes:
         assert majority_action(scene.actions) == scene.activity
         assert 2 <= scene.n_actors <= 12
 
 
 def test_generate_dispatch_and_rule_mismatch():
-    with pytest.raises(ConfigError):
-        generate_volleyball_like(_cc_cfg(), 1)
-    with pytest.raises(ConfigError):
-        generate_collective_like(_vb_cfg(), 1)
     assert generate(_cc_cfg(), 3).scenes[0].scene_id == 0
     assert generate(_vb_cfg(), 3, start_id=7).scenes[0].scene_id == 7
 

@@ -25,12 +25,15 @@ from groupact.tensor import (
     layer_norm,
     matmul,
     max_over_set,
+    max_over_sets,
     mul,
     relu,
     reshape,
+    set_attention,
     softmax_rows,
     sum_all,
     transpose,
+    weighted_cross_entropy,
 )
 
 from helpers import check_gradients, numeric_gradient, rel_err
@@ -224,11 +227,20 @@ def test_concat_last_dim_roundtrip():
     rng = _rng(8)
     a = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
     b = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-    out = concat_last_dim([a, b])
-    assert out.shape == (3, 6)
-    npt.assert_array_equal(out.data[:, :2], a.data)
-    w = Tensor(rng.standard_normal((3, 6)))
-    check_gradients(lambda: sum_all(mul(concat_last_dim([a, b]), w)), [("a", a), ("b", b)])
+    c = Tensor(rng.standard_normal((3, 1)), requires_grad=True)
+    out = concat_last_dim([a, b, c])
+    assert out.shape == (3, 7)
+    npt.assert_array_equal(out.data, np.hstack([a.data, b.data, c.data]))
+    w = Tensor(rng.standard_normal((3, 7)))
+    check_gradients(lambda: sum_all(mul(concat_last_dim([a, b, c]), w)),
+                    [("a", a), ("b", b), ("c", c)])
+    # each part's gradient is its exact column slice of the upstream gradient
+    for t in (a, b, c):
+        t.zero_grad()
+    with Graph(MODE_TRAIN):
+        sum_all(mul(concat_last_dim([a, b, c]), w)).backward()
+    for t, cols in ((a, slice(0, 2)), (b, slice(2, 6)), (c, slice(6, 7))):
+        npt.assert_array_equal(t.grad, w.data[:, cols])
     with pytest.raises(ShapeError):
         concat_last_dim([a, Tensor(np.ones((2, 2)))])
 
@@ -353,9 +365,36 @@ def test_backward_requires_recorded_history():
 
 
 def test_inference_graph_records_nothing():
-    with Graph(MODE_INFER) as g:
-        out = add(Tensor([1.0]), Tensor([2.0]))
-    assert g.nodes == [] and out._graph is None
+    # every op in tensor.py, each called once: no node in infer mode, one in train mode
+    rng = _rng(14)
+    x, y = Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal((3, 4)))
+    row, square = Tensor(rng.standard_normal(4)), Tensor(rng.standard_normal((4, 4)))
+    ops = {
+        "add": lambda: add(x, y),
+        "bias add": lambda: add(x, row),
+        "scalar mul": lambda: mul(x, 2.0),
+        "tensor mul": lambda: mul(x, y),
+        "matmul": lambda: matmul(x, square),
+        "transpose": lambda: transpose(x),
+        "reshape": lambda: reshape(x, (4, 3)),
+        "relu": lambda: relu(x),
+        "sum_all": lambda: sum_all(x),
+        "concat_last_dim": lambda: concat_last_dim([x, y]),
+        "max_over_sets": lambda: max_over_sets(x, (1, 2)),
+        "set_attention": lambda: set_attention(x, y, x, (1, 2)),
+        "softmax_rows": lambda: softmax_rows(x),
+        "layer_norm": lambda: layer_norm(x, row, row),
+        # the op's own mode is train; only the graph decides whether it records
+        "dropout": lambda: dropout(x, 0.5, MODE_TRAIN, rng),
+        "weighted_cross_entropy": lambda: weighted_cross_entropy([(x, [0, 1, 3], 1.0)])[0],
+    }
+    for name, op in ops.items():
+        with Graph(MODE_INFER) as g:
+            out = op()
+        assert g.nodes == [] and out._graph is None, name
+        with Graph(MODE_TRAIN) as g:
+            out = op()
+            assert len(g.nodes) == 1 and out._graph is g and out._node_id == 0, name
 
 
 def test_shared_subexpression_gradient():

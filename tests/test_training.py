@@ -1,11 +1,12 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from groupact.errors import ConfigError, ParseError, TrainingDiverged, UsageError
+from groupact.errors import ConfigError, DataError, ParseError, TrainingDiverged, UsageError
 from groupact.model import (
     BranchConfig,
     BranchModel,
@@ -243,6 +244,24 @@ def test_train_resume_matches_straight_run():
     assert head.rows + tail.rows == full_curve.rows
     for (name, a), (_, b) in zip(straight.parameters(), resumed.parameters()):
         npt.assert_array_equal(a.data, b.data, err_msg=name)
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd-momentum"])
+def test_optimizer_slots_must_match_in_name_and_shape(optimizer):
+    cfg = TrainConfig(optimizer=optimizer)
+    saved = {k: np.full(v.shape, 3.0) for k, v in
+             make_optimizer(cfg, _model(1).parameters()).state_tensors()}
+    opt = make_optimizer(cfg, _model(2).parameters())
+    opt.load_state(saved)
+    for key, value in opt.state_tensors():
+        npt.assert_array_equal(value, saved[key], err_msg=key)
+    name = next(k for k in saved if k != "optim/step")
+    with pytest.raises(DataError, match=re.escape(f"missing optimizer slot {name!r}")):
+        opt.load_state({k: v for k, v in saved.items() if k != name})
+    with pytest.raises(DataError, match="unexpected optimizer slot 'optim/u/x'"):
+        opt.load_state({**saved, "optim/u/x": np.zeros(1)})
+    with pytest.raises(DataError, match=re.escape(f"optimizer slot {name!r} has shape (3,)")):
+        opt.load_state({**saved, name: np.zeros(3)})
 
 
 def test_train_loss_decreases_on_separable_toy():
