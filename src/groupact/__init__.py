@@ -42,7 +42,6 @@ from .transformer import (
     AttentionRecord,
     EncoderConfig,
     EncoderWeights,
-    MultiHeadConfig,
     attention,
     encode,
 )

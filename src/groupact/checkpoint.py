@@ -104,6 +104,8 @@ def read_checkpoint(path):
     meta = {}
     for _ in range(r.u32()):
         key = r.string()
+        if key in meta:
+            raise ParseError(path, 0, f"duplicate metadata key {key!r}")
         meta[key] = r.string()
     tensors = []
     for _ in range(r.u32()):

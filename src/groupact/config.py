@@ -63,8 +63,9 @@ def _parse_actor_range(text: str):
 
 
 def _colon_pairs(text: str, key: str, shape: str) -> list:
-    """The `a:b` items of a comma-separated list, split at the first colon."""
-    out = []
+    """The `a:b` items of a comma-separated list, split at the first colon; no
+    two items may share their a."""
+    out = {}
     for item in text.split(","):
         item = item.strip()
         if not item:
@@ -72,8 +73,11 @@ def _colon_pairs(text: str, key: str, shape: str) -> list:
         if ":" not in item:
             raise ConfigError(f"{key} entries look like {shape}, got {item!r}")
         a, b = item.split(":", 1)
-        out.append((a.strip(), b))
-    return out
+        a = a.strip()
+        if a in out:
+            raise ConfigError(f"{key} names {a!r} twice")
+        out[a] = b
+    return list(out.items())
 
 
 def _parse_branch_dims(text: str) -> dict:

@@ -70,11 +70,11 @@ class BranchConfig:
     feature_dim: int
     num_actions: int
     num_activities: int
-    d_model: int = 128
-    num_heads: int = 1
-    num_layers: int = 1
-    d_ff: int = 256
-    dropout: float = 0.1
+    d_model: int = EncoderConfig.d_model
+    num_heads: int = EncoderConfig.num_heads
+    num_layers: int = EncoderConfig.num_layers
+    d_ff: int = EncoderConfig.d_ff
+    dropout: float = EncoderConfig.dropout
     use_pe: bool = True
     pe_scale: float = 100.0
     pe_stage: str = PE_POST_EMBED
@@ -235,10 +235,19 @@ class BranchWeights:
         return out
 
 
-def _heads(encoded: Tensor, action_w: Tensor, activity_w: Tensor, sizes):
-    action_logits = matmul(encoded, action_w)
-    activity_logits = matmul(max_over_sets(encoded, sizes), activity_w)
-    return action_logits, activity_logits
+def _read_out(x: Tensor, w, layout: SetLayout, mode, rng, record_attention, centers=None,
+              codes=None) -> Prediction:
+    """Every model's read-out of embedded actor rows x: codes for centers (if
+    given), w's encoder (if any), the action head per row and the activity head
+    per set max. w: a BranchWeights or an EarlyFusionModel. codes: see apply_pe."""
+    if centers is not None:
+        x = apply_pe(x, centers, w.cfg.pe_scale, codes)
+    rec = None
+    if w.encoder is not None:
+        x, rec = encode(x, w.encoder, mode, rng, record_attention, layout)
+    action_logits = matmul(x, w.action_w)
+    activity_logits = matmul(max_over_sets(x, layout), w.activity_w)
+    return Prediction(action_logits, activity_logits, rec, tuple(layout.sizes.tolist()))
 
 
 def forward_branch(inp: BranchInput, w: BranchWeights, mode=MODE_INFER, rng=None,
@@ -258,14 +267,9 @@ def forward_branch(inp: BranchInput, w: BranchWeights, mode=MODE_INFER, rng=None
     x = Tensor(inp.features)
     if cfg.use_pe and cfg.pe_stage == PE_PRE_EMBED:
         x = apply_pe(x, inp.centers, cfg.pe_scale, codes)
-    x = embed(x, w.embed_w, w.embed_b)
-    if cfg.use_pe and cfg.pe_stage == PE_POST_EMBED:
-        x = apply_pe(x, inp.centers, cfg.pe_scale, codes)
-    rec = None
-    if w.encoder is not None:
-        x, rec = encode(x, w.encoder, mode, rng, record_attention, layout)
-    action_logits, activity_logits = _heads(x, w.action_w, w.activity_w, layout)
-    return Prediction(action_logits, activity_logits, rec, tuple(layout.sizes.tolist()))
+    post_embed = cfg.use_pe and cfg.pe_stage == PE_POST_EMBED
+    return _read_out(embed(x, w.embed_w, w.embed_b), w, layout, mode, rng, record_attention,
+                     inp.centers if post_embed else None, codes)
 
 
 class BranchModel:
@@ -347,7 +351,6 @@ class EarlyFusionModel:
     def forward_batch(self, batch: Sequence[Mapping[str, BranchInput]], mode=MODE_INFER,
                       rng=None, record_attention=False) -> Prediction:
         packed, sizes = pack_inputs(batch, self.feature_dims)
-        layout = SetLayout(sizes)
         embedded, codes = [], {}
         for b in self.branches:
             w, bias = self.embeds[b]
@@ -361,13 +364,10 @@ class EarlyFusionModel:
                 x = add(x, e)
         else:
             x = matmul(concat_last_dim(embedded), self.proj)
-        if self.cfg.use_pe and self.early_pe == EARLY_PE_AFTER_FUSION:
-            x = apply_pe(x, packed[self.branches[0]].centers, self.cfg.pe_scale)
-        rec = None
-        if self.encoder is not None:
-            x, rec = encode(x, self.encoder, mode, rng, record_attention, layout)
-        action_logits, activity_logits = _heads(x, self.action_w, self.activity_w, layout)
-        return checked(Prediction(action_logits, activity_logits, rec, sizes))
+        after_fusion = self.cfg.use_pe and self.early_pe == EARLY_PE_AFTER_FUSION
+        return checked(_read_out(x, self, SetLayout(sizes), mode, rng, record_attention,
+                                 packed[self.branches[0]].centers if after_fusion else None,
+                                 codes))
 
     def parameters(self):
         out = []

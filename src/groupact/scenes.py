@@ -288,6 +288,12 @@ def save_dataset(ds: SceneDataset, path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _bit(cell: str) -> bool:
+    if cell not in ("0", "1"):
+        raise ValueError(cell)
+    return cell == "1"
+
+
 class _LineReader:
     def __init__(self, path, text):
         self.path = path
@@ -309,14 +315,16 @@ class _LineReader:
             self.fail(f"expected {word!r}")
         return cells[1:]
 
-    def int_field(self, word: str) -> int:
+    def field(self, word: str, parse=int):
+        """The one value of a `word value` line, through parse; a value it
+        rejects with ValueError fails at this line, naming word."""
         cells = self.keyword(word)
         if len(cells) != 1:
-            self.fail(f"{word}: expected one value")
+            self.fail(f"{word}: expected one value, got {len(cells)}")
         try:
-            return int(cells[0])
+            return parse(cells[0])
         except ValueError:
-            self.fail(f"{word}: bad integer {cells[0]!r}")
+            self.fail(f"{word}: bad value {cells[0]!r}")
 
     def float_row(self, width: int) -> np.ndarray:
         cells = self.next().split()
@@ -353,11 +361,9 @@ def load_dataset(path) -> SceneDataset:
         # v1 files hold the same scenes plus a t_frames line generation never read
         r.fail(f"expected header {FORMAT_HEADER!r}, got {header[:40]!r}; regenerate "
                "datasets written by older versions with 'groupact generate'")
-    rule = r.keyword("rule")
-    if len(rule) != 1:
-        r.fail("rule: expected one value")
-    num_actions = r.int_field("num_actions")
-    num_activities = r.int_field("num_activities")
+    rule = r.field("rule", str)
+    num_actions = r.field("num_actions")
+    num_activities = r.field("num_activities")
     lo_hi = r.keyword("n_actors")
     if len(lo_hi) != 2:
         r.fail("n_actors: expected two values")
@@ -365,33 +371,35 @@ def load_dataset(path) -> SceneDataset:
         lo, hi = int(lo_hi[0]), int(lo_hi[1])
     except ValueError:
         r.fail("n_actors: bad integer")
-    noise_cells = r.keyword("noise")
-    complementary = r.int_field("complementary")
-    corrupt_cells = r.keyword("corrupt_prob")
-    seed = r.int_field("seed")
-    n_branches = r.int_field("branches")
+    noise = r.field("noise", float)
+    complementary = r.field("complementary", _bit)
+    corrupt_prob = r.field("corrupt_prob", float)
+    seed = r.field("seed")
+    n_branches = r.field("branches")
     branch_dims = {}
     for _ in range(n_branches):
         cells = r.keyword("branch")
         if len(cells) != 2:
             r.fail("branch: expected name and dim")
+        if cells[0] in branch_dims:
+            r.fail(f"duplicate branch {cells[0]!r}")
         try:
             branch_dims[cells[0]] = int(cells[1])
         except ValueError:
             r.fail("branch: bad dim")
     try:
         cfg = SceneConfig(
-            rule=rule[0],
+            rule=rule,
             num_actions=num_actions,
             num_activities=num_activities,
             n_actors=lo if lo == hi else (lo, hi),
             branch_dims=branch_dims,
-            noise=float(noise_cells[0]),
-            complementary=bool(complementary),
-            corrupt_prob=float(corrupt_cells[0]),
+            noise=noise,
+            complementary=complementary,
+            corrupt_prob=corrupt_prob,
             seed=seed,
         )
-    except (ConfigError, ValueError, IndexError) as exc:
+    except ConfigError as exc:
         raise ParseError(path, r.no, f"bad header: {exc}") from None
     prototypes = {}
     for name in cfg.branch_names:
@@ -399,19 +407,19 @@ def load_dataset(path) -> SceneDataset:
         if got != [name]:
             r.fail(f"expected prototypes for {name!r}")
         prototypes[name] = r.float_rows(num_actions, branch_dims[name])
-    n_scenes = r.int_field("scenes")
+    n_scenes = r.field("scenes")
     if n_scenes < 0:
         r.fail(f"negative scene count {n_scenes}")
     scenes, seen = [], set()
     for _ in range(n_scenes):
-        sid = r.int_field("scene")
+        sid = r.field("scene")
         if sid in seen:
             r.fail(f"duplicate scene id {sid}")
         seen.add(sid)
-        activity = r.int_field("activity")
+        activity = r.field("activity")
         if not 0 <= activity < num_activities:
             r.fail(f"activity {activity} out of range")
-        n = r.int_field("actors")
+        n = r.field("actors")
         if not lo <= n <= hi:
             r.fail(f"actor count {n} outside [{lo}, {hi}]")
         cells = r.keyword("actions")

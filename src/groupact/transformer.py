@@ -43,24 +43,6 @@ def xavier_uniform(rng, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MultiHeadConfig:
-    d_model: int
-    num_heads: int
-
-    def __post_init__(self):
-        if self.d_model <= 0 or self.num_heads <= 0:
-            raise ConfigError(f"d_model and num_heads must be positive, got {self}")
-        if self.d_model % self.num_heads != 0:
-            raise ConfigError(
-                f"d_model {self.d_model} not divisible by num_heads {self.num_heads}"
-            )
-
-    @property
-    def head_dim(self) -> int:
-        return self.d_model // self.num_heads
-
-
-@dataclass(frozen=True)
 class EncoderConfig:
     d_model: int = 128
     num_heads: int = 1
@@ -69,7 +51,12 @@ class EncoderConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
-        MultiHeadConfig(self.d_model, self.num_heads)
+        if self.d_model <= 0 or self.num_heads <= 0:
+            raise ConfigError(f"d_model and num_heads must be positive, got {self}")
+        if self.d_model % self.num_heads != 0:
+            raise ConfigError(
+                f"d_model {self.d_model} not divisible by num_heads {self.num_heads}"
+            )
         if self.num_layers < 1:
             raise ConfigError(f"num_layers must be >= 1, got {self.num_layers}")
         if self.d_ff <= 0:
@@ -78,8 +65,8 @@ class EncoderConfig:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
 
     @property
-    def heads(self) -> MultiHeadConfig:
-        return MultiHeadConfig(self.d_model, self.num_heads)
+    def head_dim(self) -> int:
+        return self.d_model // self.num_heads
 
 
 @dataclass
@@ -89,22 +76,17 @@ class AttentionRecord:
     matrices: list = field(default_factory=list)  # matrices[layer][head] -> (n, n) ndarray
 
 
-def attention_weights(q: Tensor, k: Tensor) -> Tensor:
-    """softmax(Q K^T / sqrt(d_k)) with the scale taken from q's width.
+def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """softmax(Q K^T / sqrt(d_k)) V for one scene, the scale taken from q's width.
 
-    The one-scene reference for set_attention, which the encoder uses.
+    The reference for set_attention, which the encoder uses.
     """
+    if v.ndim != 2 or v.shape[0] != k.shape[0]:
+        raise ShapeError(f"attention: V shape {v.shape} does not match K {k.shape}")
     if q.ndim != 2 or k.ndim != 2 or q.shape[1] != k.shape[1]:
         raise ShapeError(f"attention: bad Q/K shapes {q.shape} and {k.shape}")
     scores = mul(matmul(q, transpose(k)), 1.0 / math.sqrt(q.shape[1]))
-    return softmax_rows(scores)
-
-
-def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """Scaled dot-product attention."""
-    if v.ndim != 2 or v.shape[0] != k.shape[0]:
-        raise ShapeError(f"attention: V shape {v.shape} does not match K {k.shape}")
-    return matmul(attention_weights(q, k), v)
+    return matmul(softmax_rows(scores), v)
 
 
 class EncoderLayerWeights:
@@ -117,7 +99,7 @@ class EncoderLayerWeights:
     """
 
     def __init__(self, cfg: EncoderConfig, rng):
-        hd = cfg.heads.head_dim
+        hd = cfg.head_dim
         self.w_q = [Tensor(xavier_uniform(rng, cfg.d_model, hd), requires_grad=True) for _ in range(cfg.num_heads)]
         self.w_k = [Tensor(xavier_uniform(rng, cfg.d_model, hd), requires_grad=True) for _ in range(cfg.num_heads)]
         self.w_v = [Tensor(xavier_uniform(rng, cfg.d_model, hd), requires_grad=True) for _ in range(cfg.num_heads)]

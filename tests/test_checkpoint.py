@@ -211,6 +211,17 @@ def test_bad_metadata_is_a_parse_error_naming_the_file(tmp_path, build, key, val
         load_model(path)
 
 
+def test_repeated_metadata_key_is_a_parse_error(tmp_path):
+    # write_checkpoint takes a dict, so the second key is renamed in the bytes
+    path = _branch(tmp_path)
+    meta, tensors = read_checkpoint(path)
+    write_checkpoint(path, {**meta, "iteratioX": "7"}, tensors)
+    path.write_bytes(path.read_bytes().replace(b"iteratioX", b"iteration"))
+    with pytest.raises(ParseError, match="duplicate metadata key 'iteration'") as info:
+        load_model(path)
+    assert info.value.path == str(path) and info.value.line_no == 0
+
+
 def test_flipped_key_byte_is_a_parse_error(tmp_path):
     path = _branch(tmp_path)
     blob = path.read_bytes()

@@ -109,6 +109,16 @@ def test_schedule_parse_errors():
         config_from_pairs({"lr_schedule": "0:0.01, 5"})
 
 
+@pytest.mark.parametrize("key, value, name", [
+    ("branches", "static:16, static:8", "static"),
+    ("late_weights", "static:1, static:2", "static"),
+    ("lr_schedule", "0:0.1, 0:0.2", "0"),
+], ids=["branches", "late_weights", "lr_schedule"])
+def test_repeated_name_in_a_list_names_the_key_and_the_name(key, value, name):
+    with pytest.raises(ConfigError, match=f"config key '{key}': {key} names '{name}' twice"):
+        config_from_pairs({key: value})
+
+
 def _readme_config_rows():
     """(keys, default cell) of every `| key | default | meaning |` table row."""
     lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()

@@ -319,3 +319,23 @@ def test_duplicate_scene_id_is_a_parse_error_naming_the_line(tmp_path):
     with pytest.raises(ParseError, match="duplicate scene id 0") as info:
         load_dataset(path)
     assert info.value.path == str(path) and info.value.line_no == no
+
+
+@pytest.mark.parametrize("prefix, line, message", [
+    ("noise ", "noise 0.5 junk", "noise: expected one value, got 2"),
+    ("corrupt_prob ", "corrupt_prob 0 9", "corrupt_prob: expected one value, got 2"),
+    ("complementary ", "complementary 7", "complementary: bad value '7'"),
+    ("noise ", "noise abc", "noise: bad value 'abc'"),
+    ("branch b ", "branch a 8", "duplicate branch 'a'"),
+], ids=["noise-extra-cell", "corrupt-prob-extra-cell", "complementary-7", "noise-abc",
+        "repeated-branch"])
+def test_bad_header_field_is_a_parse_error_naming_its_line(tmp_path, prefix, line, message):
+    path = tmp_path / "ds.scenes"
+    save_dataset(generate(_vb_cfg(seed=23, branch_dims={"a": 8, "b": 8}), 2), path)
+    lines = path.read_text().splitlines()
+    no = next(i for i, text in enumerate(lines, start=1) if text.startswith(prefix))
+    lines[no - 1] = line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=message) as info:
+        load_dataset(path)
+    assert info.value.path == str(path) and info.value.line_no == no

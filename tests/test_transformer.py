@@ -9,7 +9,6 @@ from groupact.transformer import (
     EncoderConfig,
     EncoderLayerWeights,
     EncoderWeights,
-    MultiHeadConfig,
     attention,
     encode,
     encoder_layer,
@@ -32,12 +31,12 @@ def _layer(cfg, seed=0):
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        MultiHeadConfig(6, 4)
+        EncoderConfig(d_model=6, num_heads=4)
     with pytest.raises(ConfigError):
         EncoderConfig(d_model=8, num_layers=0)
     with pytest.raises(ConfigError):
         EncoderConfig(d_model=8, dropout=1.0)
-    assert MultiHeadConfig(8, 2).head_dim == 4
+    assert EncoderConfig(d_model=8, num_heads=2).head_dim == 4
 
 
 def test_attention_single_key_returns_value_row():
