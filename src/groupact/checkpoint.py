@@ -31,7 +31,6 @@ from .model import (
     EarlyFusionModel,
     LateFusionModel,
 )
-from .seeding import rng_for
 
 MAGIC = b"GACK"
 VERSION = 1
@@ -179,10 +178,11 @@ def load_model(path):
         bad = next(name for name, arr in tensors if not np.isfinite(arr).all())
         raise ParseError(path, 0, f"tensor {bad!r} holds a non-finite value")
     kind = meta.get("kind")
-    rng = rng_for(0, "init")  # shapes only; every value is overwritten below
+    # Models built with no rng hold zeros of the right shapes (not a throwaway
+    # init draw); every value is overwritten below.
     try:
         if kind == "branch":
-            model = BranchModel(meta["branch"], _cfg_from_meta("cfg.", meta), rng)
+            model = BranchModel(meta["branch"], _cfg_from_meta("cfg.", meta), None)
         elif kind in ("early-sum", "early-concat"):
             branches = meta["branches"].split(",")
             fdims = {b: int(meta[f"fdim.{b}"]) for b in branches}
@@ -190,12 +190,12 @@ def load_model(path):
                 kind.removeprefix("early-"),
                 fdims,
                 _cfg_from_meta("cfg.", meta),
-                rng,
+                None,
                 early_pe=meta["early_pe"],
             )
         elif kind == "late":
             branches = meta["branches"].split(",")
-            models = {b: BranchModel(b, _cfg_from_meta(f"cfg.{b}.", meta), rng) for b in branches}
+            models = {b: BranchModel(b, _cfg_from_meta(f"cfg.{b}.", meta), None) for b in branches}
             weights = {b: float(meta[f"late_weight.{b}"]) for b in branches}
             model = LateFusionModel(models, weights)
         else:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +24,12 @@ def float_lines(block, sep: str = " ") -> str:
     return "\n".join([sep.join(["%.17g"] * width)] * count) % tuple(np.ravel(block).tolist())
 
 
-def atomic_write(path, data: bytes) -> None:
-    """Write bytes to a fresh temp file beside path and rename it into place.
+@contextmanager
+def atomic_writer(path):
+    """A binary file that takes path's place only once the with-block completes.
 
-    Readers never observe a partially written file, and a crash leaves the
+    It is a fresh temp file beside path, renamed into place on success, so
+    readers never observe a partially written file and a crash leaves the
     previous version (or nothing) behind. Every write has its own temp name,
     so writers to one path do not collide; a failed write removes it.
     """
@@ -38,11 +41,17 @@ def atomic_write(path, data: bytes) -> None:
             os.umask(umask)
             # mkstemp creates the file 0600; give it the mode open() would
             os.fchmod(f.fileno(), 0o666 & ~umask)
-            f.write(data)
+            yield f
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def atomic_write(path, data: bytes) -> None:
+    """Write bytes to path through atomic_writer."""
+    with atomic_writer(path) as f:
+        f.write(data)
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -50,13 +59,22 @@ def atomic_write_text(path, text: str) -> None:
     atomic_write(path, text.encode("utf-8"))
 
 
+@contextmanager
+def reading(path):
+    """path opened for reading bytes. An OSError while opening or reading it
+    becomes a ParseError that names the file."""
+    try:
+        with open(path, "rb") as f:
+            yield f
+    except OSError as exc:
+        raise ParseError(path, 0, f"cannot read file: {exc.strerror}") from None
+
+
 def read_text(path) -> str:
     """A file's UTF-8 text, or a ParseError that names the file (and the line
     of the first byte that is not UTF-8)."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise ParseError(path, 0, f"cannot read file: {exc.strerror}") from None
+    with reading(path) as f:
+        data = f.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

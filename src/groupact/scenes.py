@@ -21,11 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
-from .fileio import atomic_write_text, f17, float_lines, read_text
+# atomic_write_text stays bound here, though save_dataset streams through
+# atomic_writer: tracing tools wrap the name as this module binds it.
+from .fileio import atomic_write_text, atomic_writer, f17, float_lines, reading  # noqa: F401
 from .seeding import DATA, rng_for
 
 RULE_KEY_ACTOR = "key-actor-side"
@@ -36,6 +39,15 @@ RULES = (RULE_KEY_ACTOR, RULE_MAJORITY)
 SIDE_MARGIN = 0.02
 
 FORMAT_HEADER = "groupact-dataset v2"
+
+
+class _FieldError(ConfigError):
+    """A SceneConfig check that failed, with the field it is reported at (the
+    later one in a dataset file's header, when two fields disagree)."""
+
+    def __init__(self, field: str, msg: str):
+        super().__init__(msg)
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -52,48 +64,46 @@ class SceneConfig:
 
     def __post_init__(self):
         if self.rule not in RULES:
-            raise ConfigError(f"unknown rule {self.rule!r}, expected one of {RULES}")
+            raise _FieldError("rule", f"unknown rule {self.rule!r}, expected one of {RULES}")
         lo, hi = self.actor_range
         if lo < 1 or hi < lo:
-            raise ConfigError(f"bad actor count range {self.n_actors!r}")
+            raise _FieldError("n_actors", f"bad actor count range {self.n_actors!r}")
         if not self.branch_dims:
-            raise ConfigError("need at least one branch")
+            raise _FieldError("branches", "need at least one branch")
         for name, dim in self.branch_dims.items():
             if not name or any(c.isspace() for c in name):
-                raise ConfigError(f"bad branch name {name!r}")
+                raise _FieldError(f"branch {name}", f"bad branch name {name!r}")
             if int(dim) < 4:
-                raise ConfigError(f"branch {name!r} needs dim >= 4, got {dim}")
+                raise _FieldError(f"branch {name}", f"branch {name!r} needs dim >= 4, got {dim}")
         if self.num_actions < 2:
-            raise ConfigError(f"need at least 2 actions, got {self.num_actions}")
+            raise _FieldError("num_actions", f"need at least 2 actions, got {self.num_actions}")
         if self.rule == RULE_KEY_ACTOR:
             if self.num_activities < 2 or self.num_activities % 2 != 0:
-                raise ConfigError(
-                    f"key-actor-side needs an even activity count, got {self.num_activities}"
-                )
+                raise _FieldError("num_activities", "key-actor-side needs an even activity "
+                                  f"count, got {self.num_activities}")
             if self.num_actions <= self.num_base:
-                raise ConfigError(
-                    f"need background actions: num_actions {self.num_actions} <= "
-                    f"base activities {self.num_base}"
-                )
+                raise _FieldError("num_activities", "need background actions: num_actions "
+                                  f"{self.num_actions} <= base activities {self.num_base}")
         else:
             if self.num_activities != self.num_actions:
-                raise ConfigError(
-                    "majority-action labels scenes with an action id, so "
-                    f"num_activities must equal num_actions, got {self.num_activities}/{self.num_actions}"
-                )
+                raise _FieldError("num_activities", "majority-action labels scenes with an "
+                                  "action id, so num_activities must equal num_actions, got "
+                                  f"{self.num_activities}/{self.num_actions}")
         if not (math.isfinite(self.noise) and self.noise >= 0):
-            raise ConfigError(f"noise must be finite and >= 0, got {self.noise}")
+            raise _FieldError("noise", f"noise must be finite and >= 0, got {self.noise}")
         if not 0.0 <= self.corrupt_prob <= 1.0:
-            raise ConfigError(f"corrupt_prob must lie in [0, 1], got {self.corrupt_prob}")
+            raise _FieldError("corrupt_prob",
+                              f"corrupt_prob must lie in [0, 1], got {self.corrupt_prob}")
         if self.complementary:
             if self.rule != RULE_KEY_ACTOR:
-                raise ConfigError("complementary prototypes need the key-actor-side rule")
+                raise _FieldError("complementary",
+                                  "complementary prototypes need the key-actor-side rule")
             if len(self.branch_dims) < 2:
-                raise ConfigError("complementary prototypes need at least 2 branches")
+                raise _FieldError("complementary",
+                                  "complementary prototypes need at least 2 branches")
             if self.num_base < 4:
-                raise ConfigError(
-                    f"complementary prototypes need >= 4 base activities, got {self.num_base}"
-                )
+                raise _FieldError("complementary", "complementary prototypes need >= 4 base "
+                                  f"activities, got {self.num_base}")
         # Canonical forms so loaded and freshly built configs compare equal.
         object.__setattr__(self, "n_actors", lo if lo == hi else (lo, hi))
         object.__setattr__(
@@ -248,13 +258,31 @@ def majority_action(actions) -> int:
     return int(counts.argmax())
 
 
+def _scene_text(scene: ActorScene, names) -> str:
+    lines = [
+        f"scene {scene.scene_id}",
+        f"activity {scene.activity}",
+        f"actors {scene.n_actors}",
+        "actions " + " ".join(str(int(a)) for a in scene.actions),
+        "centers",
+        float_lines(scene.centers),
+    ]
+    for name in names:
+        lines.append(f"features {name}")
+        lines.append(float_lines(scene.features[name]))
+    return "\n".join(lines) + "\n"
+
+
 def save_dataset(ds: SceneDataset, path) -> None:
     """Textual dump: self-describing header, prototypes, then scene records.
 
     Floats are written with 17 significant digits, so a load sees bit-equal
-    values and two saves of equal datasets are byte-identical.
+    values and two saves of equal datasets are byte-identical. Each scene's
+    text is written as soon as it is formatted, so a save holds one scene's
+    text at a time, not the file's.
     """
     cfg = ds.config
+    names = cfg.branch_names
     lo, hi = cfg.actor_range
     lines = [
         FORMAT_HEADER,
@@ -268,24 +296,17 @@ def save_dataset(ds: SceneDataset, path) -> None:
         f"seed {cfg.seed}",
         f"branches {len(cfg.branch_dims)}",
     ]
-    for name in cfg.branch_names:
+    for name in names:
         lines.append(f"branch {name} {cfg.branch_dims[name]}")
-    for name in cfg.branch_names:
+    for name in names:
         lines.append(f"prototypes {name}")
         lines.append(float_lines(ds.prototypes[name]))
     lines.append(f"scenes {len(ds.scenes)}")
-    for scene in ds.scenes:
-        lines.append(f"scene {scene.scene_id}")
-        lines.append(f"activity {scene.activity}")
-        lines.append(f"actors {scene.n_actors}")
-        lines.append("actions " + " ".join(str(int(a)) for a in scene.actions))
-        lines.append("centers")
-        lines.append(float_lines(scene.centers))
-        for name in cfg.branch_names:
-            lines.append(f"features {name}")
-            lines.append(float_lines(scene.features[name]))
-    lines.append("end")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    with atomic_writer(path) as f:
+        f.write(("\n".join(lines) + "\n").encode("utf-8"))
+        for scene in ds.scenes:
+            f.write(_scene_text(scene, names).encode("utf-8"))
+        f.write(b"end\n")
 
 
 def _bit(cell: str) -> bool:
@@ -294,20 +315,47 @@ def _bit(cell: str) -> bool:
     return cell == "1"
 
 
+def _int(cell: str) -> int:
+    """A canonical ASCII decimal: what str() of the int gives back, so a value
+    loads only from the bytes a save writes for it."""
+    value = int(cell)
+    if str(value) != cell:
+        raise ValueError(cell)
+    return value
+
+
+def _float(cell: str) -> float:
+    """float() of cell, without what float() forgives but a save never writes:
+    digit-group underscores and non-ASCII digits."""
+    if not cell.isascii() or "_" in cell:
+        raise ValueError(cell)
+    return float(cell)
+
+
 class _LineReader:
-    def __init__(self, path, text):
+    """The lines of an open binary file, read one at a time (a float block at a
+    time); no is the number of the line last read."""
+
+    def __init__(self, path, f):
         self.path = path
-        self.lines = text.splitlines()
+        self.f = f
         self.no = 0
 
-    def next(self) -> str:
-        if self.no >= len(self.lines):
-            raise ParseError(self.path, self.no + 1, "unexpected end of file")
-        self.no += 1
-        return self.lines[self.no - 1]
+    def _text(self, raw: bytes, no: int) -> str:
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError(self.path, no, "not UTF-8 text") from None
 
-    def fail(self, msg):
-        raise ParseError(self.path, self.no, msg)
+    def next(self) -> str:
+        raw = next(self.f, None)
+        if raw is None:
+            self.fail("unexpected end of file", self.no + 1)
+        self.no += 1
+        return self._text(raw, self.no)
+
+    def fail(self, msg, no=None):
+        raise ParseError(self.path, self.no if no is None else no, msg)
 
     def keyword(self, word: str) -> list:
         cells = self.next().split()
@@ -315,7 +363,7 @@ class _LineReader:
             self.fail(f"expected {word!r}")
         return cells[1:]
 
-    def field(self, word: str, parse=int):
+    def field(self, word: str, parse=_int):
         """The one value of a `word value` line, through parse; a value it
         rejects with ValueError fails at this line, naming word."""
         cells = self.keyword(word)
@@ -326,56 +374,82 @@ class _LineReader:
         except ValueError:
             self.fail(f"{word}: bad value {cells[0]!r}")
 
-    def float_row(self, width: int) -> np.ndarray:
-        cells = self.next().split()
+    def _float_row(self, raw: bytes, width: int, no: int) -> np.ndarray:
+        self._text(raw, no)  # a line that is not UTF-8 fails as such
+        if not raw.isascii() or b"_" in raw:
+            self.fail("bad float", no)
+        cells = raw.split()
         if len(cells) != width:
-            self.fail(f"expected {width} values, got {len(cells)}")
+            self.fail(f"expected {width} values, got {len(cells)}", no)
         try:
             return np.array([float(c) for c in cells])
         except ValueError:
-            self.fail("bad float")
+            self.fail("bad float", no)
 
     def float_rows(self, count: int, width: int) -> np.ndarray:
         """The next count rows of width finite floats, as one (count, width) array
         converted in one call. Its shape checks every row's width, so a long row next
         to a short one cannot shift values between rows; a block that fails is read
         row by row to name the first bad line."""
+        first = self.no + 1
+        raw = list(islice(self.f, count))
+        self.no += len(raw)
         try:
-            rows = np.array(list(map(str.split, self.lines[self.no : self.no + count])), float)
+            # ASCII without underscores, as a save writes it; numpy parses
+            # bytes tokens as float() does
+            block = b"".join(raw)
+            if not block.isascii() or b"_" in block:
+                raise ValueError
+            rows = np.array(list(map(bytes.split, raw)), float)
             if rows.shape != (count, width):
                 raise ValueError
         except ValueError:  # a ragged block, a bad token or the end of the file
-            rows = np.stack([self.float_row(width) for _ in range(count)])
-        else:
-            self.no += count
+            rows = [self._float_row(line, width, no) for no, line in enumerate(raw, start=first)]
+            if len(rows) < count:
+                self.fail("unexpected end of file", self.no + 1)
+            rows = np.stack(rows)
         if not np.isfinite(rows).all():
             bad = int(np.argmin(np.isfinite(rows).all(axis=1)))
-            raise ParseError(self.path, self.no - count + 1 + bad, "non-finite value")
+            self.fail("non-finite value", first + bad)
         return rows
 
 
 def load_dataset(path) -> SceneDataset:
-    r = _LineReader(path, read_text(path))
-    header = r.next()
+    """A dataset that save_dataset wrote, read line by line from the file, so a
+    load holds one line (or one float block) of text at a time."""
+    with reading(path) as f:
+        return _read_dataset(_LineReader(path, f))
+
+
+def _read_dataset(r: _LineReader) -> SceneDataset:
+    header = r.next().rstrip("\r\n")
     if header != FORMAT_HEADER:
         # v1 files hold the same scenes plus a t_frames line generation never read
         r.fail(f"expected header {FORMAT_HEADER!r}, got {header[:40]!r}; regenerate "
                "datasets written by older versions with 'groupact generate'")
-    rule = r.field("rule", str)
-    num_actions = r.field("num_actions")
-    num_activities = r.field("num_activities")
+    at = {}  # header field -> its line, where a value SceneConfig rejects is reported
+
+    def header_field(word, parse=_int):
+        value = r.field(word, parse)
+        at[word] = r.no
+        return value
+
+    rule = header_field("rule", str)
+    num_actions = header_field("num_actions")
+    num_activities = header_field("num_activities")
     lo_hi = r.keyword("n_actors")
     if len(lo_hi) != 2:
         r.fail("n_actors: expected two values")
     try:
-        lo, hi = int(lo_hi[0]), int(lo_hi[1])
+        lo, hi = _int(lo_hi[0]), _int(lo_hi[1])
     except ValueError:
         r.fail("n_actors: bad integer")
-    noise = r.field("noise", float)
-    complementary = r.field("complementary", _bit)
-    corrupt_prob = r.field("corrupt_prob", float)
-    seed = r.field("seed")
-    n_branches = r.field("branches")
+    at["n_actors"] = r.no
+    noise = header_field("noise", _float)
+    complementary = header_field("complementary", _bit)
+    corrupt_prob = header_field("corrupt_prob", _float)
+    seed = header_field("seed")
+    n_branches = header_field("branches")
     branch_dims = {}
     for _ in range(n_branches):
         cells = r.keyword("branch")
@@ -384,9 +458,10 @@ def load_dataset(path) -> SceneDataset:
         if cells[0] in branch_dims:
             r.fail(f"duplicate branch {cells[0]!r}")
         try:
-            branch_dims[cells[0]] = int(cells[1])
+            branch_dims[cells[0]] = _int(cells[1])
         except ValueError:
             r.fail("branch: bad dim")
+        at["branch " + cells[0]] = r.no
     try:
         cfg = SceneConfig(
             rule=rule,
@@ -399,8 +474,8 @@ def load_dataset(path) -> SceneDataset:
             corrupt_prob=corrupt_prob,
             seed=seed,
         )
-    except ConfigError as exc:
-        raise ParseError(path, r.no, f"bad header: {exc}") from None
+    except _FieldError as exc:
+        r.fail(f"bad header: {exc}", at[exc.field])
     prototypes = {}
     for name in cfg.branch_names:
         got = r.keyword("prototypes")
@@ -426,9 +501,12 @@ def load_dataset(path) -> SceneDataset:
         if len(cells) != n:
             r.fail(f"expected {n} actions, got {len(cells)}")
         try:
-            actions = np.array([int(c) for c in cells])
+            ids = list(map(int, cells))
         except ValueError:
             r.fail("bad action id")
+        if list(map(str, ids)) != cells:
+            r.fail("bad action id")
+        actions = np.array(ids)
         if actions.min() < 0 or actions.max() >= num_actions:
             r.fail("action id out of range")
         r.keyword("centers")
@@ -443,6 +521,6 @@ def load_dataset(path) -> SceneDataset:
             feats[name] = r.float_rows(n, branch_dims[name])
         scenes.append(ActorScene(sid, activity, actions, centers, feats))
     r.keyword("end")
-    if r.no != len(r.lines):
-        raise ParseError(path, r.no + 1, "trailing content after 'end'")
+    if next(r.f, None) is not None:
+        r.fail("trailing content after 'end'", r.no + 1)
     return SceneDataset(cfg, prototypes, scenes)

@@ -38,6 +38,10 @@ from .tensor import (
 
 
 def xavier_uniform(rng, fan_in: int, fan_out: int) -> np.ndarray:
+    """Glorot-uniform draws; zeros when rng is None, for a model whose every
+    value is overwritten next (a checkpoint load)."""
+    if rng is None:
+        return np.zeros((fan_in, fan_out))
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 

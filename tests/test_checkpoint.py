@@ -312,3 +312,26 @@ def test_non_finite_tensor_is_a_parse_error_naming_it(tmp_path, name, value):
     with pytest.raises(ParseError, match=name) as info:
         load_model(path)
     assert info.value.path == str(path)
+
+
+def test_load_builds_zero_weights_then_copies_every_stored_array(tmp_path, monkeypatch):
+    import groupact.model as gmodel
+    import groupact.transformer as gtransformer
+
+    path = tmp_path / "model.ckpt"
+    model = EarlyFusionModel("concat", {"a": 8, "b": 6}, _cfg(), rng_for(4, "init"))
+    save_model(path, model)
+    rngs, xavier_uniform = [], gtransformer.xavier_uniform
+
+    def recording(rng, fan_in, fan_out):
+        rngs.append(rng)
+        return xavier_uniform(rng, fan_in, fan_out)
+
+    for module in (gmodel, gtransformer):
+        monkeypatch.setattr(module, "xavier_uniform", recording)
+    loaded, _, _ = load_model(path)
+    assert rngs and all(rng is None for rng in rngs)  # no throwaway init draws
+    _assert_same_params(model, loaded)
+    for name, t in loaded.parameters():
+        # copied into arrays of their own, not views of the file's buffer
+        assert t.data.flags.owndata and t.data.flags.aligned, name

@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from groupact.errors import ConfigError, DataError, ParseError
+from groupact.fileio import f17
 from groupact.scenes import (
+    FORMAT_HEADER,
     SIDE_MARGIN,
     SceneConfig,
+    SceneDataset,
     generate,
     load_dataset,
     majority_action,
@@ -327,8 +332,27 @@ def test_duplicate_scene_id_is_a_parse_error_naming_the_line(tmp_path):
     ("complementary ", "complementary 7", "complementary: bad value '7'"),
     ("noise ", "noise abc", "noise: bad value 'abc'"),
     ("branch b ", "branch a 8", "duplicate branch 'a'"),
+    # values that parse but that SceneConfig rejects, at their own line
+    ("noise ", "noise -1", "noise must be finite and >= 0"),
+    ("corrupt_prob ", "corrupt_prob 2", "corrupt_prob must lie in"),
+    ("num_activities ", "num_activities 7", "even activity count"),
+    ("num_actions ", "num_actions 1", "need at least 2 actions"),
+    ("n_actors ", "n_actors 0 3", "bad actor count range"),
+    ("branch b ", "branch b 2", "needs dim >= 4"),
+    # integers must be the canonical decimals a save writes
+    ("seed ", "seed 1_0", "seed: bad value '1_0'"),
+    ("seed ", "seed 007", "seed: bad value '007'"),
+    ("actors ", "actors +4", r"actors: bad value '\+4'"),
+    ("scene ", "scene \u0661", "scene: bad value"),
+    ("n_actors ", "n_actors 12 1_2", "n_actors: bad integer"),
+    ("branch a ", "branch a +8", "branch: bad dim"),
+    ("actions ", "actions " + " ".join(["+4"] * 12), "bad action id"),
+    ("noise ", "noise 0_5", "noise: bad value '0_5'"),
 ], ids=["noise-extra-cell", "corrupt-prob-extra-cell", "complementary-7", "noise-abc",
-        "repeated-branch"])
+        "repeated-branch", "noise-negative", "corrupt-prob-2", "activities-odd", "one-action",
+        "zero-actors", "dim-2", "seed-underscore", "seed-leading-zero", "actors-plus",
+        "scene-arabic-digit", "n-actors-underscore", "dim-plus", "action-plus",
+        "noise-underscore"])
 def test_bad_header_field_is_a_parse_error_naming_its_line(tmp_path, prefix, line, message):
     path = tmp_path / "ds.scenes"
     save_dataset(generate(_vb_cfg(seed=23, branch_dims={"a": 8, "b": 8}), 2), path)
@@ -339,3 +363,140 @@ def test_bad_header_field_is_a_parse_error_naming_its_line(tmp_path, prefix, lin
     with pytest.raises(ParseError, match=message) as info:
         load_dataset(path)
     assert info.value.path == str(path) and info.value.line_no == no
+
+
+@pytest.mark.parametrize("first_cells", [["1_0.5", "0.5"], ["\u0661", "0.5"], ["0.5\u00a00.5"]],
+                         ids=["underscore", "arabic-digit", "no-break-space"])
+@pytest.mark.parametrize("block", ["prototypes static", "centers", "features static"])
+def test_float_block_takes_only_ascii_tokens_without_underscores(tmp_path, first_cells, block):
+    path = tmp_path / "ds.scenes"
+    save_dataset(generate(_vb_cfg(seed=24), 3), path)
+    lines = path.read_text().splitlines()
+    no = lines.index(block) + 3  # 1-based number of the block's third row
+    cells = lines[no - 1].split()
+    cells[:2] = first_cells
+    lines[no - 1] = " ".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="bad float") as info:
+        load_dataset(path)
+    assert info.value.path == str(path) and info.value.line_no == no
+
+
+def _whole_text(ds):
+    """The file save_dataset writes, as one join of every line (the layout
+    of the format, built value by value)."""
+    cfg = ds.config
+    lo, hi = cfg.actor_range
+    names = cfg.branch_names
+
+    def rows(block):
+        return [" ".join(f17(v) for v in row) for row in block]
+
+    lines = [FORMAT_HEADER, f"rule {cfg.rule}", f"num_actions {cfg.num_actions}",
+             f"num_activities {cfg.num_activities}", f"n_actors {lo} {hi}",
+             f"noise {f17(cfg.noise)}", f"complementary {int(cfg.complementary)}",
+             f"corrupt_prob {f17(cfg.corrupt_prob)}", f"seed {cfg.seed}",
+             f"branches {len(names)}"]
+    lines += [f"branch {b} {cfg.branch_dims[b]}" for b in names]
+    for b in names:
+        lines += [f"prototypes {b}"] + rows(ds.prototypes[b])
+    lines.append(f"scenes {len(ds.scenes)}")
+    for s in ds.scenes:
+        lines += [f"scene {s.scene_id}", f"activity {s.activity}", f"actors {s.n_actors}",
+                  "actions " + " ".join(map(str, s.actions)), "centers"] + rows(s.centers)
+        for b in names:
+            lines += [f"features {b}"] + rows(s.features[b])
+    return "\n".join(lines + ["end"]) + "\n"
+
+
+THREE_BRANCHES = dict(rule="majority-action", num_actions=8, num_activities=8, n_actors=(6, 14),
+                      branch_dims={"static": 16, "dynamic-rgb": 32, "dynamic-flow": 32})
+
+
+@pytest.mark.parametrize("cfg", [
+    _vb_cfg(branch_dims={"rgb": 8, "static": 16}, complementary=True, corrupt_prob=0.25,
+            n_actors=(1, 9), seed=25),
+    _cc_cfg(n_actors=1, seed=26),
+    SceneConfig(**THREE_BRANCHES, seed=27),
+], ids=["ragged", "one-actor", "three-branches"])
+def test_save_writes_the_whole_text_join(tmp_path, cfg):
+    ds = generate(cfg, 40, start_id=7)
+    path = tmp_path / "ds.scenes"
+    save_dataset(ds, path)
+    assert path.read_bytes() == _whole_text(ds).encode()
+    empty = SceneDataset(cfg, ds.prototypes, [])
+    save_dataset(empty, path)
+    assert path.read_bytes() == _whole_text(empty).encode()
+    assert load_dataset(path) == empty
+
+
+def test_save_and_load_hold_one_scene_of_text_at_a_time(tmp_path):
+    # a small late-fusion shape, so that tracing every allocation stays quick
+    cfg = SceneConfig(**{**THREE_BRANCHES, "n_actors": (2, 4), "seed": 28,
+                         "branch_dims": {"static": 4, "dynamic-rgb": 8, "dynamic-flow": 8}})
+    ds = generate(cfg, 2000)
+    path = tmp_path / "ds.scenes"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        save_dataset(ds, path)
+        save_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        loaded = load_dataset(path)
+        held, load_peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert loaded == ds
+    # the whole text held once is 100% of the file; one scene's is about 0.05%
+    size = path.stat().st_size
+    assert save_peak < 0.1 * size, (save_peak, size)
+    assert load_peak - held < 0.1 * size, (load_peak, held, size)
+
+
+def _saved_lines(tmp_path, seed):
+    path = tmp_path / "ds.scenes"
+    save_dataset(generate(_vb_cfg(seed=seed, n_actors=(1, 5)), 6), path)
+    return path, path.read_bytes().split(b"\n")[:-1]
+
+
+def test_crlf_copy_loads_to_an_equal_dataset(tmp_path):
+    path, lines = _saved_lines(tmp_path, 29)
+    crlf = tmp_path / "crlf.scenes"
+    crlf.write_bytes(b"\r\n".join(lines) + b"\r\n")
+    assert load_dataset(crlf) == load_dataset(path)
+
+
+def test_bad_utf8_deep_in_the_file_names_its_line(tmp_path):
+    path, lines = _saved_lines(tmp_path, 30)
+    no = len(lines) - 3
+    lines[no - 1] = lines[no - 1][:5] + b"\xff" + lines[no - 1][5:]
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(ParseError, match="not UTF-8 text") as info:
+        load_dataset(path)
+    assert info.value.path == str(path) and info.value.line_no == no
+
+
+@pytest.mark.parametrize("separator", [b"\x0c", b"\x1c", b"\r"])
+def test_only_newlines_end_lines(tmp_path, separator):
+    # str.splitlines() also ends a line at these; two rows joined by one read as one row
+    path, lines = _saved_lines(tmp_path, 32)
+    no = lines.index(b"centers") + 2
+    lines[no - 1:no + 1] = [lines[no - 1] + separator + lines[no]]
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(ParseError, match="expected 2 values, got [34]") as info:
+        load_dataset(path)
+    assert info.value.line_no == no
+
+
+def test_truncated_block_and_trailing_content_name_their_lines(tmp_path):
+    path, lines = _saved_lines(tmp_path, 31)
+    no = len(lines) - 2  # the last scene's last feature row
+    path.write_bytes(b"\n".join(lines[:no - 1]) + b"\n")
+    with pytest.raises(ParseError, match="unexpected end of file") as info:
+        load_dataset(path)
+    assert info.value.line_no == no
+    path.write_bytes(b"\n".join(lines + [b"scene 9"]) + b"\n")
+    with pytest.raises(ParseError, match="trailing content after 'end'") as info:
+        load_dataset(path)
+    assert info.value.line_no == len(lines) + 1

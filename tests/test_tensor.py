@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import groupact.tensor as tensor_module
 from groupact.errors import (
     ConfigError,
     DataError,
@@ -483,3 +484,52 @@ def test_layer_norm_is_bit_identical_to_the_np_mean_formula(shape):
     assert x.grad.tobytes() == (np.zeros(shape) + dx).tobytes()
     assert gain.grad.tobytes() == (np.zeros(shape[1]) + (up * x_hat).sum(axis=0)).tobytes()
     assert bias.grad.tobytes() == (np.zeros(shape[1]) + up.sum(axis=0)).tobytes()
+
+
+def _unknown_confstr_name(name):
+    raise ValueError("unrecognized configuration name")
+
+
+class _Libc:
+    """A C library whose mallopt records its calls (a function, so that the
+    caller can declare its argument and result types)."""
+
+    def __init__(self):
+        self.calls = []
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return 1
+
+        self.mallopt = mallopt
+
+
+@pytest.mark.parametrize("confstr, cdll, calls", [
+    (lambda name: "glibc 2.36", _Libc, [(-1, 64 << 20), (-3, 32 << 20)]),
+    (lambda name: "glibc 2.36", object, []),  # a libc without mallopt
+    (lambda name: None, _Libc, []),
+    (lambda name: "musl", _Libc, []),
+    (_unknown_confstr_name, _Libc, []),
+], ids=["glibc", "no-mallopt", "no-libc-version", "other-libc", "no-confstr-name"])
+def test_keep_freed_heap_sets_glibc_thresholds_and_is_a_no_op_elsewhere(
+        monkeypatch, confstr, cdll, calls):
+    libc = cdll()
+
+    def load(name):
+        assert name is None  # the running process's own symbols
+        return libc
+
+    monkeypatch.setattr(tensor_module.os, "confstr", confstr)
+    monkeypatch.setattr(tensor_module.ctypes, "CDLL", load)
+    assert tensor_module._keep_freed_heap() is None
+    assert getattr(libc, "calls", []) == calls
+
+
+def test_keep_freed_heap_without_a_loadable_libc_does_nothing(monkeypatch):
+    def fail(name):
+        raise OSError("cannot load")
+
+    monkeypatch.setattr(tensor_module.ctypes, "CDLL", fail)
+    tensor_module._keep_freed_heap()
+    monkeypatch.delattr(tensor_module.os, "confstr")
+    tensor_module._keep_freed_heap()

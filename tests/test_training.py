@@ -1,11 +1,17 @@
 import math
+import os
+import platform
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import groupact
 from groupact.errors import ConfigError, DataError, ParseError, TrainingDiverged, UsageError
 from groupact.model import (
     BranchConfig,
@@ -426,3 +432,40 @@ def test_second_optimizer_over_the_same_parameters_updates_them():
     before = [t.data.copy() for _, t in params]
     train(model, _easy_dataset(8).scenes, TrainConfig(total_iterations=1, batch_size=4))
     assert any((t.data != old).any() for (_, t), old in zip(params, before))
+
+
+# One warm-up step (first-use costs of numpy and the tape), then 30 steps of
+# the README quick start on scenes held in memory, in a fresh process.
+FAULTS_PER_STEP = """
+import resource
+from dataclasses import replace
+
+from groupact.model import BranchConfig, BranchModel
+from groupact.scenes import SceneConfig, generate
+from groupact.seeding import rng_for
+from groupact.training import TrainConfig, make_optimizer, train
+
+scenes = generate(SceneConfig(rule="key-actor-side", num_actions=9, num_activities=8,
+                              n_actors=12, branch_dims={"static": 16}), 200).scenes
+model = BranchModel("static", BranchConfig(feature_dim=16, num_actions=9, num_activities=8,
+                                           d_model=32, d_ff=64, dropout=0.1, use_pe=True),
+                    rng_for(0, "init"))
+cfg = TrainConfig(optimizer="adam", lr_schedule=((0, 0.01),), batch_size=16, total_iterations=1)
+optimizer = make_optimizer(cfg, model.parameters())
+train(model, scenes, cfg, optimizer=optimizer)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+train(model, scenes, replace(cfg, total_iterations=31), start_iteration=1, optimizer=optimizer)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 30)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="counts the minor faults of glibc's heap trimming on Linux")
+def test_fresh_process_train_steps_keep_their_freed_heap():
+    # glibc trims a step's freed heap back to the OS unless told not to, and
+    # the next step faults it back in: about 320 faults per step
+    env = {**os.environ, "PYTHONPATH": str(Path(groupact.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", FAULTS_PER_STEP], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert float(out.stdout) < 20
