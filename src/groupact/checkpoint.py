@@ -1,14 +1,7 @@
-"""Binary checkpoint files.
+"""Binary checkpoint files: fileio's container with magic b"GACK", version 1.
 
-Layout, all integers little-endian:
-
-    magic   4 bytes  b"GACK"
-    version u32      currently 1
-    u32 meta count, then per entry: u32 key length, key utf-8, u32 value
-    length, value utf-8
-    u32 tensor count, then per tensor: u32 name length, name utf-8, u32 ndim,
-    ndim * u64 dims, raw float64 values
-
+Metadata holds the model kind, the iteration and each BranchConfig; records
+hold the parameters, then any optimizer slots, as named float64 tensors.
 Writing the same state twice produces byte-identical files; loading restores
 bit-identical arrays. Files are written to a temp path and renamed into
 place so a crash never leaves a half-written checkpoint behind.
@@ -17,14 +10,12 @@ place so a crash never leaves a half-written checkpoint behind.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
-from .fileio import atomic_write
+from .fileio import meta_decode, meta_encode, read_container, write_container
 from .model import (
     BranchConfig,
     BranchModel,
@@ -35,96 +26,29 @@ from .model import (
 MAGIC = b"GACK"
 VERSION = 1
 
-# BranchConfig field annotation (a string, see model.py's future import)
-# -> (encode, decode) of its metadata value
-_CODECS = {
-    "int": (str, int),
-    "float": (repr, float),
-    "bool": (lambda v: str(int(v)), lambda text: bool(int(text))),
-    "str": (str, str),
-}
-
 
 def write_checkpoint(path, meta: dict, tensors) -> None:
     """tensors is a sequence of (name, ndarray); order is preserved."""
-    parts = [MAGIC, struct.pack("<I", VERSION)]
-    items = list(meta.items())
-    parts.append(struct.pack("<I", len(items)))
-    for key, value in items:
-        kb, vb = str(key).encode(), str(value).encode()
-        parts.append(struct.pack("<I", len(kb)) + kb + struct.pack("<I", len(vb)) + vb)
-    tensors = list(tensors)
-    parts.append(struct.pack("<I", len(tensors)))
-    for name, arr in tensors:
-        # asarray keeps 0-d arrays 0-d; ascontiguousarray would promote them
-        arr = np.asarray(arr, dtype="<f8", order="C")
-        nb = str(name).encode()
-        parts.append(struct.pack("<I", len(nb)) + nb)
-        parts.append(struct.pack("<I", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        parts.append(arr.tobytes())
-    atomic_write(path, b"".join(parts))
-
-
-class _Reader:
-    def __init__(self, path):
-        self.path = path
-        try:
-            self.buf = Path(path).read_bytes()
-        except OSError as exc:
-            raise ParseError(path, 0, f"cannot read checkpoint: {exc.strerror}") from None
-        self.pos = 0
-
-    def take(self, n):
-        if self.pos + n > len(self.buf):
-            raise ParseError(self.path, 0, "truncated checkpoint")
-        out = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self):
-        return struct.unpack("<I", self.take(4))[0]
-
-    def string(self):
-        try:
-            return self.take(self.u32()).decode()
-        except UnicodeDecodeError:
-            raise ParseError(self.path, 0, "checkpoint string is not utf-8") from None
+    records = [(name, np.shape(arr), (arr,)) for name, arr in tensors]
+    # one buffer as large as the tensors: they are all in memory anyway, and
+    # a system call per tensor costs more than copying them into it
+    size = 8 * sum(math.prod(shape) for _, shape, _ in records)
+    write_container(path, MAGIC, VERSION, meta, records, buffer_bytes=max(size, 1))
 
 
 def read_checkpoint(path):
     """Returns (meta dict, list of (name, ndarray))."""
-    r = _Reader(path)
-    if r.take(4) != MAGIC:
-        raise ParseError(path, 0, "not a checkpoint file")
-    version = r.u32()
-    if version != VERSION:
-        raise ParseError(path, 0, f"unsupported checkpoint version {version}")
-    meta = {}
-    for _ in range(r.u32()):
-        key = r.string()
-        if key in meta:
-            raise ParseError(path, 0, f"duplicate metadata key {key!r}")
-        meta[key] = r.string()
-    tensors = []
-    for _ in range(r.u32()):
-        name = r.string()
-        ndim = r.u32()
-        shape = struct.unpack(f"<{ndim}Q", r.take(8 * ndim))
-        count = math.prod(shape)  # Python ints: a forged shape cannot overflow
-        arr = np.frombuffer(r.take(8 * count), dtype="<f8").reshape(shape).copy()
-        tensors.append((name, arr))
-    if r.pos != len(r.buf):
-        raise ParseError(path, 0, "trailing bytes after checkpoint payload")
-    return meta, tensors
+    return read_container(path, MAGIC, VERSION, "checkpoint")
 
 
+# BranchConfig's field annotations are strings (see model.py's future import),
+# the type names of fileio.META_CODECS
 def _cfg_meta(prefix: str, cfg: BranchConfig) -> dict:
-    return {prefix + f.name: _CODECS[f.type][0](getattr(cfg, f.name)) for f in fields(cfg)}
+    return {prefix + f.name: meta_encode(f.type, getattr(cfg, f.name)) for f in fields(cfg)}
 
 
 def _cfg_from_meta(prefix: str, meta: dict) -> BranchConfig:
-    return BranchConfig(**{f.name: _CODECS[f.type][1](meta[prefix + f.name])
+    return BranchConfig(**{f.name: meta_decode(f.type, meta[prefix + f.name])
                            for f in fields(BranchConfig)})
 
 
@@ -134,7 +58,7 @@ def save_model(path, model, *, iteration: int = 0, extra_tensors=()) -> None:
     extra_tensors names must not collide with model parameter names; the
     training loop namespaces optimizer slots under 'optim/'.
     """
-    meta = {"kind": model.kind, "iteration": str(iteration)}
+    meta = {"kind": model.kind, "iteration": meta_encode("int", iteration)}
     if model.kind == "branch":
         meta["branch"] = model.branch
         meta.update(_cfg_meta("cfg.", model.cfg))
@@ -142,12 +66,12 @@ def save_model(path, model, *, iteration: int = 0, extra_tensors=()) -> None:
         meta["branches"] = ",".join(model.branches)
         meta["early_pe"] = model.early_pe
         for b in model.branches:
-            meta[f"fdim.{b}"] = str(model.feature_dims[b])
+            meta[f"fdim.{b}"] = meta_encode("int", model.feature_dims[b])
         meta.update(_cfg_meta("cfg.", model.cfg))
     elif model.kind == "late":
         meta["branches"] = ",".join(model.branches)
         for b in model.branches:
-            meta[f"late_weight.{b}"] = repr(model.weights[b])
+            meta[f"late_weight.{b}"] = meta_encode("float", model.weights[b])
             meta.update(_cfg_meta(f"cfg.{b}.", model.models[b].cfg))
     else:
         raise DataError(f"cannot serialise model kind {model.kind!r}")
@@ -185,7 +109,7 @@ def load_model(path):
             model = BranchModel(meta["branch"], _cfg_from_meta("cfg.", meta), None)
         elif kind in ("early-sum", "early-concat"):
             branches = meta["branches"].split(",")
-            fdims = {b: int(meta[f"fdim.{b}"]) for b in branches}
+            fdims = {b: meta_decode("int", meta[f"fdim.{b}"]) for b in branches}
             model = EarlyFusionModel(
                 kind.removeprefix("early-"),
                 fdims,
@@ -196,11 +120,11 @@ def load_model(path):
         elif kind == "late":
             branches = meta["branches"].split(",")
             models = {b: BranchModel(b, _cfg_from_meta(f"cfg.{b}.", meta), None) for b in branches}
-            weights = {b: float(meta[f"late_weight.{b}"]) for b in branches}
+            weights = {b: meta_decode("float", meta[f"late_weight.{b}"]) for b in branches}
             model = LateFusionModel(models, weights)
         else:
             raise ParseError(path, 0, f"unknown model kind {kind!r}")
-        iteration = int(meta.get("iteration", "0"))
+        iteration = meta_decode("int", meta.get("iteration", "0"))
     except KeyError as exc:
         raise ParseError(path, 0, f"checkpoint is missing metadata key {exc}") from None
     except (ValueError, ConfigError) as exc:

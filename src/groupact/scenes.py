@@ -20,15 +20,21 @@ branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
-# atomic_write_text stays bound here, though save_dataset streams through
-# atomic_writer: tracing tools wrap the name as this module binds it.
-from .fileio import atomic_write_text, atomic_writer, f17, float_lines, reading  # noqa: F401
+# atomic_write_text stays bound here, though save_dataset writes through
+# write_container: tracing tools wrap the name as this module binds it.
+from .fileio import (  # noqa: F401
+    META_CODECS,
+    atomic_write_text,
+    meta_decode,
+    meta_encode,
+    read_container,
+    write_container,
+)
 from .seeding import DATA, rng_for
 
 RULE_KEY_ACTOR = "key-actor-side"
@@ -37,18 +43,6 @@ RULES = (RULE_KEY_ACTOR, RULE_MAJORITY)
 
 # Key actors stay clear of the x = 0.5 midline by this margin, on either side.
 SIDE_MARGIN = 0.02
-
-FORMAT_HEADER = "groupact-dataset v2"
-
-
-class _FieldError(ConfigError):
-    """A SceneConfig check that failed, with the field it is reported at (the
-    later one in a dataset file's header, when two fields disagree)."""
-
-    def __init__(self, field: str, msg: str):
-        super().__init__(msg)
-        self.field = field
-
 
 @dataclass(frozen=True)
 class SceneConfig:
@@ -64,45 +58,42 @@ class SceneConfig:
 
     def __post_init__(self):
         if self.rule not in RULES:
-            raise _FieldError("rule", f"unknown rule {self.rule!r}, expected one of {RULES}")
+            raise ConfigError(f"unknown rule {self.rule!r}, expected one of {RULES}")
         lo, hi = self.actor_range
         if lo < 1 or hi < lo:
-            raise _FieldError("n_actors", f"bad actor count range {self.n_actors!r}")
+            raise ConfigError(f"n_actors: bad actor count range {self.n_actors!r}")
         if not self.branch_dims:
-            raise _FieldError("branches", "need at least one branch")
+            raise ConfigError("need at least one branch")
         for name, dim in self.branch_dims.items():
             if not name or any(c.isspace() for c in name):
-                raise _FieldError(f"branch {name}", f"bad branch name {name!r}")
+                raise ConfigError(f"bad branch name {name!r}")
             if int(dim) < 4:
-                raise _FieldError(f"branch {name}", f"branch {name!r} needs dim >= 4, got {dim}")
+                raise ConfigError(f"branch {name!r} needs dim >= 4, got {dim}")
         if self.num_actions < 2:
-            raise _FieldError("num_actions", f"need at least 2 actions, got {self.num_actions}")
+            raise ConfigError(f"num_actions: need at least 2 actions, got {self.num_actions}")
         if self.rule == RULE_KEY_ACTOR:
             if self.num_activities < 2 or self.num_activities % 2 != 0:
-                raise _FieldError("num_activities", "key-actor-side needs an even activity "
+                raise ConfigError("num_activities: key-actor-side needs an even activity "
                                   f"count, got {self.num_activities}")
             if self.num_actions <= self.num_base:
-                raise _FieldError("num_activities", "need background actions: num_actions "
+                raise ConfigError("need background actions: num_actions "
                                   f"{self.num_actions} <= base activities {self.num_base}")
         else:
             if self.num_activities != self.num_actions:
-                raise _FieldError("num_activities", "majority-action labels scenes with an "
+                raise ConfigError("majority-action labels scenes with an "
                                   "action id, so num_activities must equal num_actions, got "
                                   f"{self.num_activities}/{self.num_actions}")
         if not (math.isfinite(self.noise) and self.noise >= 0):
-            raise _FieldError("noise", f"noise must be finite and >= 0, got {self.noise}")
+            raise ConfigError(f"noise must be finite and >= 0, got {self.noise}")
         if not 0.0 <= self.corrupt_prob <= 1.0:
-            raise _FieldError("corrupt_prob",
-                              f"corrupt_prob must lie in [0, 1], got {self.corrupt_prob}")
+            raise ConfigError(f"corrupt_prob must lie in [0, 1], got {self.corrupt_prob}")
         if self.complementary:
             if self.rule != RULE_KEY_ACTOR:
-                raise _FieldError("complementary",
-                                  "complementary prototypes need the key-actor-side rule")
+                raise ConfigError("complementary prototypes need the key-actor-side rule")
             if len(self.branch_dims) < 2:
-                raise _FieldError("complementary",
-                                  "complementary prototypes need at least 2 branches")
+                raise ConfigError("complementary prototypes need at least 2 branches")
             if self.num_base < 4:
-                raise _FieldError("complementary", "complementary prototypes need >= 4 base "
+                raise ConfigError("complementary prototypes need >= 4 base "
                                   f"activities, got {self.num_base}")
         # Canonical forms so loaded and freshly built configs compare equal.
         object.__setattr__(self, "n_actors", lo if lo == hi else (lo, hi))
@@ -258,269 +249,172 @@ def majority_action(actions) -> int:
     return int(counts.argmax())
 
 
-def _scene_text(scene: ActorScene, names) -> str:
-    lines = [
-        f"scene {scene.scene_id}",
-        f"activity {scene.activity}",
-        f"actors {scene.n_actors}",
-        "actions " + " ".join(str(int(a)) for a in scene.actions),
-        "centers",
-        float_lines(scene.centers),
-    ]
-    for name in names:
-        lines.append(f"features {name}")
-        lines.append(float_lines(scene.features[name]))
-    return "\n".join(lines) + "\n"
+MAGIC = b"GADS"
+VERSION = 3
+_REGENERATE = ("; regenerate datasets written by older versions with 'groupact generate' "
+               "and the same config")
+
+# SceneConfig fields stored as one metadata value each, by their annotation
+# (a string, see the future import); n_actors is stored as n_actors.lo and
+# n_actors.hi, and branch_dims as one branch.<name> value per branch.
+_SCALARS = tuple(f for f in fields(SceneConfig) if f.type in META_CODECS)
+_EXACT = 2**53 - 1  # above this, a float64 may stand for two integers
+_BIG = np.finfo(np.float64).max
+
+
+def _column(scenes, attr):
+    """One float64 chunk of every scene's attr, built when the writer gets to it."""
+    col = np.fromiter((getattr(s, attr) for s in scenes), np.float64, len(scenes))
+    if col.size and max(col.max(), -col.min()) > _EXACT:
+        raise DataError(f"a scene's {attr} is too large to store exactly")
+    yield col
 
 
 def save_dataset(ds: SceneDataset, path) -> None:
-    """Textual dump: self-describing header, prototypes, then scene records.
+    """The dataset as records in fileio's container, magic GADS, version 3.
 
-    Floats are written with 17 significant digits, so a load sees bit-equal
-    values and two saves of equal datasets are byte-identical. Each scene's
-    text is written as soon as it is formatted, so a save holds one scene's
-    text at a time, not the file's.
+    Metadata holds the config. Records hold each branch's prototypes, then
+    the scenes, one record per field packed over all scenes in order:
+    sizes (actors per scene), ids, activities, actions, centers and each
+    branch's features. Integers are stored as float64, which holds them
+    exactly. Records are written scene by scene, so a save holds one
+    scene's bytes at a time, and two saves of equal datasets are
+    byte-identical.
     """
-    cfg = ds.config
+    cfg, scenes = ds.config, ds.scenes
     names = cfg.branch_names
     lo, hi = cfg.actor_range
-    lines = [
-        FORMAT_HEADER,
-        f"rule {cfg.rule}",
-        f"num_actions {cfg.num_actions}",
-        f"num_activities {cfg.num_activities}",
-        f"n_actors {lo} {hi}",
-        f"noise {f17(cfg.noise)}",
-        f"complementary {int(cfg.complementary)}",
-        f"corrupt_prob {f17(cfg.corrupt_prob)}",
-        f"seed {cfg.seed}",
-        f"branches {len(cfg.branch_dims)}",
-    ]
-    for name in names:
-        lines.append(f"branch {name} {cfg.branch_dims[name]}")
-    for name in names:
-        lines.append(f"prototypes {name}")
-        lines.append(float_lines(ds.prototypes[name]))
-    lines.append(f"scenes {len(ds.scenes)}")
-    with atomic_writer(path) as f:
-        f.write(("\n".join(lines) + "\n").encode("utf-8"))
-        for scene in ds.scenes:
-            f.write(_scene_text(scene, names).encode("utf-8"))
-        f.write(b"end\n")
+    meta = {f.name: meta_encode(f.type, getattr(cfg, f.name)) for f in _SCALARS}
+    meta.update({"n_actors.lo": str(lo), "n_actors.hi": str(hi)})
+    meta.update({f"branch.{b}": str(cfg.branch_dims[b]) for b in names})
+    rows = sum(s.n_actors for s in scenes)
+
+    def branch_rows(b):
+        return (s.features[b] for s in scenes)
+
+    records = [(f"prototypes/{b}", np.shape(ds.prototypes[b]), (ds.prototypes[b],))
+               for b in names]
+    records += [(name, (len(scenes),), _column(scenes, attr))
+                for name, attr in (("sizes", "n_actors"), ("ids", "scene_id"),
+                                   ("activities", "activity"))]
+    records += [("actions", (rows,), (s.actions for s in scenes)),
+                ("centers", (rows, 2), (s.centers for s in scenes))]
+    records += [(f"features/{b}", (rows, cfg.branch_dims[b]), branch_rows(b)) for b in names]
+    # a 32 KiB buffer: fewer system calls than the default, and still a few
+    # scenes' bytes
+    write_container(path, MAGIC, VERSION, meta, records, buffer_bytes=1 << 15)
 
 
-def _bit(cell: str) -> bool:
-    if cell not in ("0", "1"):
-        raise ValueError(cell)
-    return cell == "1"
+def _config(path, meta: dict) -> SceneConfig:
+    keys = {f.name for f in _SCALARS} | {"n_actors.lo", "n_actors.hi"}
+    branches = [key for key in meta if key.startswith("branch.")]
+    unknown = [key for key in meta if key not in keys and not key.startswith("branch.")]
+    if unknown:
+        raise ParseError(path, 0, f"unknown metadata key {unknown[0]!r}")
 
-
-def _int(cell: str) -> int:
-    """A canonical ASCII decimal: what str() of the int gives back, so a value
-    loads only from the bytes a save writes for it."""
-    value = int(cell)
-    if str(value) != cell:
-        raise ValueError(cell)
-    return value
-
-
-def _float(cell: str) -> float:
-    """float() of cell, without what float() forgives but a save never writes:
-    digit-group underscores and non-ASCII digits."""
-    if not cell.isascii() or "_" in cell:
-        raise ValueError(cell)
-    return float(cell)
-
-
-class _LineReader:
-    """The lines of an open binary file, read one at a time (a float block at a
-    time); no is the number of the line last read."""
-
-    def __init__(self, path, f):
-        self.path = path
-        self.f = f
-        self.no = 0
-
-    def _text(self, raw: bytes, no: int) -> str:
+    def value(key, kind):
+        if key not in meta:
+            raise ParseError(path, 0, f"missing metadata key {key!r}")
         try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError:
-            raise ParseError(self.path, no, "not UTF-8 text") from None
-
-    def next(self) -> str:
-        raw = next(self.f, None)
-        if raw is None:
-            self.fail("unexpected end of file", self.no + 1)
-        self.no += 1
-        return self._text(raw, self.no)
-
-    def fail(self, msg, no=None):
-        raise ParseError(self.path, self.no if no is None else no, msg)
-
-    def keyword(self, word: str) -> list:
-        cells = self.next().split()
-        if not cells or cells[0] != word:
-            self.fail(f"expected {word!r}")
-        return cells[1:]
-
-    def field(self, word: str, parse=_int):
-        """The one value of a `word value` line, through parse; a value it
-        rejects with ValueError fails at this line, naming word."""
-        cells = self.keyword(word)
-        if len(cells) != 1:
-            self.fail(f"{word}: expected one value, got {len(cells)}")
-        try:
-            return parse(cells[0])
+            return meta_decode(kind, meta[key])
         except ValueError:
-            self.fail(f"{word}: bad value {cells[0]!r}")
+            raise ParseError(path, 0, f"{key}: bad value {meta[key]!r}") from None
 
-    def _float_row(self, raw: bytes, width: int, no: int) -> np.ndarray:
-        self._text(raw, no)  # a line that is not UTF-8 fails as such
-        if not raw.isascii() or b"_" in raw:
-            self.fail("bad float", no)
-        cells = raw.split()
-        if len(cells) != width:
-            self.fail(f"expected {width} values, got {len(cells)}", no)
-        try:
-            return np.array([float(c) for c in cells])
-        except ValueError:
-            self.fail("bad float", no)
+    lo, hi = value("n_actors.lo", "int"), value("n_actors.hi", "int")
+    try:
+        return SceneConfig(n_actors=lo if lo == hi else (lo, hi),
+                           branch_dims={key.removeprefix("branch."): value(key, "int")
+                                        for key in branches},
+                           **{f.name: value(f.name, f.type) for f in _SCALARS})
+    except ConfigError as exc:
+        raise ParseError(path, 0, f"bad header: {exc}") from None
 
-    def float_rows(self, count: int, width: int) -> np.ndarray:
-        """The next count rows of width finite floats, as one (count, width) array
-        converted in one call. Its shape checks every row's width, so a long row next
-        to a short one cannot shift values between rows; a block that fails is read
-        row by row to name the first bad line."""
-        first = self.no + 1
-        raw = list(islice(self.f, count))
-        self.no += len(raw)
-        try:
-            # ASCII without underscores, as a save writes it; numpy parses
-            # bytes tokens as float() does
-            block = b"".join(raw)
-            if not block.isascii() or b"_" in block:
-                raise ValueError
-            rows = np.array(list(map(bytes.split, raw)), float)
-            if rows.shape != (count, width):
-                raise ValueError
-        except ValueError:  # a ragged block, a bad token or the end of the file
-            rows = [self._float_row(line, width, no) for no, line in enumerate(raw, start=first)]
-            if len(rows) < count:
-                self.fail("unexpected end of file", self.no + 1)
-            rows = np.stack(rows)
-        if not np.isfinite(rows).all():
-            bad = int(np.argmin(np.isfinite(rows).all(axis=1)))
-            self.fail("non-finite value", first + bad)
-        return rows
+
+class _Records:
+    """A loaded file's records, taken out one at a time and checked as whole
+    arrays. An error names the file, the record and, where one is to blame,
+    the first bad scene's id."""
+
+    def __init__(self, path, arrays: dict):
+        self.path, self.arrays = path, arrays
+        self.ids = self.sizes = None  # set once checked
+
+    def entry(self, at):
+        return f"entry {at}"
+
+    def scene(self, at):
+        return f"scene {self.ids[at]}"
+
+    def row_scene(self, at):
+        return self.scene(int(np.searchsorted(np.cumsum(self.sizes), at, side="right")))
+
+    def fail(self, name, msg, where=None, at=None):
+        raise ParseError(self.path, 0, f"{name}: " + (f"{where(at)}: " if where else "") + msg)
+
+    def floats(self, name, shape, where, lo=-_BIG, hi=_BIG):
+        """The record, after checking its shape and that every value is finite
+        and within [lo, hi]."""
+        arr = self.arrays.pop(name)
+        if arr.shape != shape:
+            self.fail(name, f"expected shape {shape}, got {arr.shape}")
+        # min and max carry a NaN through, so two reductions check every value
+        if arr.size and not (lo <= arr.min() and arr.max() <= hi):
+            rows = arr.reshape(len(arr), -1)
+            ok = (rows >= lo) & (rows <= hi)
+            at = int(np.argmin(ok.all(axis=1)))
+            bad = float(rows[at][~ok[at]][0])
+            msg = f"{bad!r} outside [{lo}, {hi}]" if math.isfinite(bad) else "non-finite value"
+            self.fail(name, msg, where, at)
+        return arr
+
+    def ints(self, name, shape, where, lo, hi) -> np.ndarray:
+        """The record as int64, after checking that each value is an integer
+        in [lo, hi]."""
+        arr = self.floats(name, shape, where, lo, hi)
+        out = arr.astype(np.int64)
+        if not np.array_equal(out, arr):
+            at = int(np.argmax(out != arr))
+            self.fail(name, f"{float(arr[at])!r} is not an integer", where, at)
+        return out
+
+    def unique(self, ids):
+        order = np.argsort(ids, kind="stable")
+        repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]
+        if repeats.size:
+            self.fail("ids", f"duplicate scene id {ids[repeats.min()]}")
+        return ids
 
 
 def load_dataset(path) -> SceneDataset:
-    """A dataset that save_dataset wrote, read line by line from the file, so a
-    load holds one line (or one float block) of text at a time."""
-    with reading(path) as f:
-        return _read_dataset(_LineReader(path, f))
-
-
-def _read_dataset(r: _LineReader) -> SceneDataset:
-    header = r.next().rstrip("\r\n")
-    if header != FORMAT_HEADER:
-        # v1 files hold the same scenes plus a t_frames line generation never read
-        r.fail(f"expected header {FORMAT_HEADER!r}, got {header[:40]!r}; regenerate "
-               "datasets written by older versions with 'groupact generate'")
-    at = {}  # header field -> its line, where a value SceneConfig rejects is reported
-
-    def header_field(word, parse=_int):
-        value = r.field(word, parse)
-        at[word] = r.no
-        return value
-
-    rule = header_field("rule", str)
-    num_actions = header_field("num_actions")
-    num_activities = header_field("num_activities")
-    lo_hi = r.keyword("n_actors")
-    if len(lo_hi) != 2:
-        r.fail("n_actors: expected two values")
-    try:
-        lo, hi = _int(lo_hi[0]), _int(lo_hi[1])
-    except ValueError:
-        r.fail("n_actors: bad integer")
-    at["n_actors"] = r.no
-    noise = header_field("noise", _float)
-    complementary = header_field("complementary", _bit)
-    corrupt_prob = header_field("corrupt_prob", _float)
-    seed = header_field("seed")
-    n_branches = header_field("branches")
-    branch_dims = {}
-    for _ in range(n_branches):
-        cells = r.keyword("branch")
-        if len(cells) != 2:
-            r.fail("branch: expected name and dim")
-        if cells[0] in branch_dims:
-            r.fail(f"duplicate branch {cells[0]!r}")
-        try:
-            branch_dims[cells[0]] = _int(cells[1])
-        except ValueError:
-            r.fail("branch: bad dim")
-        at["branch " + cells[0]] = r.no
-    try:
-        cfg = SceneConfig(
-            rule=rule,
-            num_actions=num_actions,
-            num_activities=num_activities,
-            n_actors=lo if lo == hi else (lo, hi),
-            branch_dims=branch_dims,
-            noise=noise,
-            complementary=complementary,
-            corrupt_prob=corrupt_prob,
-            seed=seed,
-        )
-    except _FieldError as exc:
-        r.fail(f"bad header: {exc}", at[exc.field])
-    prototypes = {}
-    for name in cfg.branch_names:
-        got = r.keyword("prototypes")
-        if got != [name]:
-            r.fail(f"expected prototypes for {name!r}")
-        prototypes[name] = r.float_rows(num_actions, branch_dims[name])
-    n_scenes = r.field("scenes")
-    if n_scenes < 0:
-        r.fail(f"negative scene count {n_scenes}")
-    scenes, seen = [], set()
-    for _ in range(n_scenes):
-        sid = r.field("scene")
-        if sid in seen:
-            r.fail(f"duplicate scene id {sid}")
-        seen.add(sid)
-        activity = r.field("activity")
-        if not 0 <= activity < num_activities:
-            r.fail(f"activity {activity} out of range")
-        n = r.field("actors")
-        if not lo <= n <= hi:
-            r.fail(f"actor count {n} outside [{lo}, {hi}]")
-        cells = r.keyword("actions")
-        if len(cells) != n:
-            r.fail(f"expected {n} actions, got {len(cells)}")
-        try:
-            ids = list(map(int, cells))
-        except ValueError:
-            r.fail("bad action id")
-        if list(map(str, ids)) != cells:
-            r.fail("bad action id")
-        actions = np.array(ids)
-        if actions.min() < 0 or actions.max() >= num_actions:
-            r.fail("action id out of range")
-        r.keyword("centers")
-        centers = r.float_rows(n, 2)
-        if centers.min() < 0.0 or centers.max() > 1.0:
-            r.fail("center outside [0, 1]")
-        feats = {}
-        for name in cfg.branch_names:
-            got = r.keyword("features")
-            if got != [name]:
-                r.fail(f"expected features for {name!r}")
-            feats[name] = r.float_rows(n, branch_dims[name])
-        scenes.append(ActorScene(sid, activity, actions, centers, feats))
-    r.keyword("end")
-    if next(r.f, None) is not None:
-        r.fail("trailing content after 'end'", r.no + 1)
+    """A dataset that save_dataset wrote. Its scenes are views of one array
+    per record, and the checks run over whole records: shapes that agree
+    with the config, finite values, centers in [0, 1], exact integers in
+    range, actor counts within n_actors and unique scene ids."""
+    meta, records = read_container(path, MAGIC, VERSION, "dataset", _REGENERATE)
+    cfg = _config(path, meta)
+    names = cfg.branch_names
+    want = ([f"prototypes/{b}" for b in names] + ["sizes", "ids", "activities", "actions",
+                                                  "centers"] + [f"features/{b}" for b in names])
+    got = [name for name, _ in records]
+    if got != want:
+        raise ParseError(path, 0, f"expected records {want}, got {got}")
+    r = _Records(path, dict(records))
+    del records  # each float record is freed as it is converted
+    prototypes = {b: r.floats(f"prototypes/{b}", (cfg.num_actions, cfg.branch_dims[b]),
+                              lambda at: f"action {at}") for b in names}
+    count = (r.arrays["sizes"].size,)
+    r.ids = r.unique(r.ints("ids", count, r.entry, -_EXACT, _EXACT))
+    r.sizes = r.ints("sizes", count, r.scene, *cfg.actor_range)
+    rows = int(r.sizes.sum())
+    activities = r.ints("activities", count, r.scene, 0, cfg.num_activities - 1)
+    actions = r.ints("actions", (rows,), r.row_scene, 0, cfg.num_actions - 1)
+    centers = r.floats("centers", (rows, 2), r.row_scene, 0.0, 1.0)
+    feats = {b: r.floats(f"features/{b}", (rows, cfg.branch_dims[b]), r.row_scene)
+             for b in names}
+    scenes, at = [], 0
+    for sid, activity, n in zip(r.ids.tolist(), activities.tolist(), r.sizes.tolist()):
+        end = at + n
+        scenes.append(ActorScene(sid, activity, actions[at:end], centers[at:end],
+                                 {b: feats[b][at:end] for b in names}))
+        at = end
     return SceneDataset(cfg, prototypes, scenes)

@@ -193,6 +193,12 @@ _BAD_METADATA = [
     (_late, "late_weight.a", "-1"),
     (_late, "branches", "a"),
     (_late, "cfg.b.num_heads", None),
+    # values that decode, but not from the one text a save writes for them
+    (_branch, "iteration", "1_0"),
+    (_branch, "cfg.use_pe", "7"),
+    (_branch, "cfg.d_ff", " +16"),
+    (_branch, "cfg.dropout", "0.10"),
+    (_late, "late_weight.a", "2"),
 ]
 
 
@@ -296,6 +302,31 @@ def test_overflowing_tensor_shape_is_a_parse_error(tmp_path):
     path.write_bytes(blob.replace(dims, struct.pack("<2Q", 2**32, 2**32)))
     with pytest.raises(ParseError, match=str(path)):
         read_checkpoint(path)
+
+
+def test_forged_tensor_shape_is_a_parse_error_not_a_memory_error(tmp_path):
+    path = tmp_path / "forged.ckpt"
+    write_checkpoint(path, {"kind": "branch"}, [("a", np.zeros((2, 2))), ("b", np.zeros(3))])
+    blob = path.read_bytes()
+    # 2**40 x 2**20 float64 values would ask for 8 PiB
+    path.write_bytes(blob.replace(struct.pack("<2Q", 2, 2), struct.pack("<2Q", 2**40, 2**20)))
+    with pytest.raises(ParseError, match="truncated checkpoint: record 'a' of shape"):
+        read_checkpoint(path)
+
+
+def test_raw_checkpoint_bytes_are_the_gack_v1_layout(tmp_path):
+    path = tmp_path / "raw.ckpt"
+    a, b = np.arange(6.0).reshape(2, 3), np.array(3.5)
+    write_checkpoint(path, {"kind": "branch"}, [("a", a), ("b", b)])
+
+    def string(text):
+        return struct.pack("<I", len(text)) + text.encode()
+
+    want = (b"GACK" + struct.pack("<II", 1, 1) + string("kind") + string("branch")
+            + struct.pack("<I", 2)
+            + string("a") + struct.pack("<I2Q", 2, 2, 3) + a.astype("<f8").tobytes()
+            + string("b") + struct.pack("<I", 0) + b.astype("<f8").tobytes())
+    assert path.read_bytes() == want
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -20,7 +20,8 @@ from groupact.evaluation import (
     write_report,
 )
 from groupact.model import BranchConfig, BranchModel, LateFusionModel
-from groupact.scenes import SceneConfig, generate, load_dataset, save_dataset
+from groupact.fileio import read_container, write_container
+from groupact.scenes import MAGIC, VERSION, SceneConfig, generate, load_dataset, save_dataset
 from groupact.seeding import rng_for
 from groupact.training import LossCurve
 
@@ -156,7 +157,9 @@ def test_dataset_with_a_non_finite_noise_is_rejected(tmp_path, token):
     path = tmp_path / "data.scenes"
     save_dataset(generate(SceneConfig(rule="majority-action", num_actions=3, num_activities=3,
                                       n_actors=3, branch_dims={"static": 4}, seed=0), 2), path)
-    path.write_text(path.read_text().replace("noise 0.5\n", f"noise {token}\n"))
+    meta, records = read_container(path, MAGIC, VERSION, "dataset")
+    write_container(path, MAGIC, VERSION, {**meta, "noise": token},
+                    [(name, arr.shape, (arr,)) for name, arr in records])
     with pytest.raises(ParseError, match=f"{re.escape(str(path))}:.*noise"):
         load_dataset(path)
 

@@ -1,3 +1,5 @@
+import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -5,10 +7,11 @@ import numpy.testing as npt
 import pytest
 
 from groupact.errors import ConfigError, DataError, ParseError
-from groupact.fileio import f17
+from groupact.fileio import read_container, write_container
 from groupact.scenes import (
-    FORMAT_HEADER,
+    MAGIC,
     SIDE_MARGIN,
+    VERSION,
     SceneConfig,
     SceneDataset,
     generate,
@@ -192,98 +195,94 @@ def test_saves_are_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _saved(tmp_path, cfg, count=3):
+    """(path, metadata, {record name: array}) of a dataset save_dataset wrote."""
+    path = tmp_path / "ds.scenes"
+    save_dataset(generate(cfg, count), path)
+    meta, records = read_container(path, MAGIC, VERSION, "dataset")
+    return path, meta, dict(records)
+
+
+def _rewrite(path, meta, records, version=VERSION):
+    write_container(path, MAGIC, version, meta,
+                    [(name, arr.shape, (arr,)) for name, arr in records.items()])
+
+
 def test_truncated_file_is_a_parse_error(tmp_path):
     ds = generate(_vb_cfg(seed=14), 10)
     path = tmp_path / "ds.scenes"
     save_dataset(ds, path)
-    text = path.read_text()
-    path.write_text(text[: int(len(text) * 0.6)])
-    with pytest.raises(ParseError) as exc:
+    data = path.read_bytes()
+    path.write_bytes(data[: int(len(data) * 0.6)])
+    with pytest.raises(ParseError, match="truncated dataset") as exc:
         load_dataset(path)
-    assert exc.value.line_no > 0
+    assert exc.value.path == str(path)
 
 
 def test_tampered_label_is_a_parse_error(tmp_path):
-    ds = generate(_vb_cfg(seed=15), 5)
-    path = tmp_path / "ds.scenes"
-    save_dataset(ds, path)
-    lines = path.read_text().splitlines()
-    target = next(i for i, line in enumerate(lines) if line.startswith("activity "))
-    lines[target] = "activity 999"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ParseError):
+    path, meta, records = _saved(tmp_path, _vb_cfg(seed=15), 5)
+    records["activities"][2] = 999
+    _rewrite(path, meta, records)
+    with pytest.raises(ParseError, match="activities: scene 2: 999.0 outside"):
         load_dataset(path)
 
 
 def test_bad_header_is_a_parse_error(tmp_path):
-    path = tmp_path / "ds.scenes"
-    save_dataset(generate(_vb_cfg(seed=15), 3), path)
-    lines = path.read_text().splitlines()
-    lines[0] = "groupact-dataset v9"
-    path.write_text("\n".join(lines) + "\n")
+    path, meta, records = _saved(tmp_path, _vb_cfg(seed=15))
+    _rewrite(path, meta, records, version=9)
     with pytest.raises(ParseError, match="header") as info:
         load_dataset(path)
     assert info.value.path == str(path) and info.value.line_no == 1
 
 
 def test_v1_dataset_is_rejected_with_a_hint_to_regenerate(tmp_path):
-    ds = generate(_vb_cfg(seed=16), 3)
     path = tmp_path / "ds.scenes"
-    save_dataset(ds, path)
-    lines = path.read_text().splitlines()
-    lines[0] = "groupact-dataset v1"
-    lines.insert(lines.index(f"seed {ds.config.seed}"), "t_frames 10")
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("groupact-dataset v1\nrule key-actor-side\nt_frames 10\n")
     with pytest.raises(ParseError, match="regenerate") as exc:
         load_dataset(path)
     assert str(path) in str(exc.value)
 
 
+def test_v2_text_dataset_fails_at_line_1_with_a_hint_to_regenerate(tmp_path):
+    path = tmp_path / "ds.scenes"
+    path.write_text("groupact-dataset v2\nrule key-actor-side\nnum_actions 9\n")
+    with pytest.raises(ParseError, match="header GADS v3, got b'groupact'.*regenerate") as info:
+        load_dataset(path)
+    assert info.value.path == str(path) and info.value.line_no == 1
+
+
+# Each case's v2 text block, as the record that holds it in v3.
+_RECORDS = {"prototypes static": "prototypes/static", "centers": "centers",
+            "features static": "features/static"}
+
+
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
 @pytest.mark.parametrize("block", ["prototypes static", "centers", "features static"])
 def test_non_finite_values_are_a_parse_error_naming_the_line(tmp_path, token, block):
-    path = tmp_path / "ds.scenes"
-    save_dataset(generate(_vb_cfg(seed=17), 3), path)
-    lines = path.read_text().splitlines()
-    no = lines.index(block) + 2  # 1-based number of the block's second row
-    cells = lines[no - 1].split()
-    cells[-1] = token
-    lines[no - 1] = " ".join(cells)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ParseError, match="non-finite") as info:
+    # v3 has no lines: the error names the record and the row's scene (or action)
+    path, meta, records = _saved(tmp_path, _vb_cfg(seed=17))
+    name = _RECORDS[block]
+    records[name][1, -1] = float(token)
+    _rewrite(path, meta, records)
+    where = "action 1" if name.startswith("prototypes") else "scene 0"
+    with pytest.raises(ParseError, match=f"{name}: {where}: non-finite value") as info:
         load_dataset(path)
-    assert info.value.path == str(path) and info.value.line_no == no
+    assert info.value.path == str(path)
 
 
 @pytest.mark.parametrize("block, width", [("prototypes static", 16), ("centers", 2),
                                           ("features static", 16)])
 def test_long_row_then_short_row_names_the_long_one(tmp_path, block, width):
-    # the block total stays right, so only a per-row width check catches it
-    path = tmp_path / "ds.scenes"
-    save_dataset(generate(_vb_cfg(seed=18), 3), path)
-    lines = path.read_text().splitlines()
-    no = lines.index(block) + 2  # 1-based number of the block's second row
-    long_row, short_row = lines[no - 1].split(), lines[no].split()
-    long_row.append(short_row.pop(0))
-    lines[no - 1], lines[no] = " ".join(long_row), " ".join(short_row)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ParseError, match=f"expected {width} values, got {width + 1}") as info:
+    # v3's form of a block with the right value count at the wrong width: a
+    # record of the right size in another shape
+    path, meta, records = _saved(tmp_path, _vb_cfg(seed=18))
+    name = _RECORDS[block]
+    rows = len(records[name])
+    records[name] = records[name].reshape(2 * rows, width // 2)
+    _rewrite(path, meta, records)
+    with pytest.raises(ParseError, match=re.escape(
+            f"{name}: expected shape ({rows}, {width}), got ({2 * rows}, {width // 2})")):
         load_dataset(path)
-    assert info.value.path == str(path) and info.value.line_no == no
-
-
-def test_bad_float_token_names_its_line(tmp_path):
-    path = tmp_path / "ds.scenes"
-    save_dataset(generate(_vb_cfg(seed=19, branch_dims={"rgb": 8, "static": 16}), 3), path)
-    lines = path.read_text().splitlines()
-    no = lines.index("features static") + 4  # 1-based number of the block's third row
-    cells = lines[no - 1].split()
-    cells[5] = "1.2.3"
-    lines[no - 1] = " ".join(cells)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ParseError, match="bad float") as info:
-        load_dataset(path)
-    assert info.value.path == str(path) and info.value.line_no == no
 
 
 def test_float_lines_matches_the_per_value_f17_join():
@@ -302,111 +301,58 @@ def test_float_lines_matches_the_per_value_f17_join():
     assert float_lines(np.array([[-0.0, 5e-324]])) == "-0 4.9406564584124654e-324"
 
 
-def test_negative_scene_count_is_a_parse_error_naming_the_line(tmp_path):
-    path = tmp_path / "ds.scenes"
-    save_dataset(generate(_vb_cfg(seed=21), 2), path)
-    lines = path.read_text().splitlines()
-    no = lines.index("scenes 2") + 1
-    lines[no - 1:] = ["scenes -3", "end"]  # loaded as an empty dataset before the check
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ParseError, match="negative scene count -3") as info:
-        load_dataset(path)
-    assert info.value.path == str(path) and info.value.line_no == no
-
-
 def test_duplicate_scene_id_is_a_parse_error_naming_the_line(tmp_path):
-    path = tmp_path / "ds.scenes"
-    save_dataset(generate(_vb_cfg(seed=22), 3), path)
-    lines = path.read_text().splitlines()
-    no = lines.index("scene 2") + 1
-    lines[no - 1] = "scene 0"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ParseError, match="duplicate scene id 0") as info:
+    # v3 names the record and the repeated id
+    path, meta, records = _saved(tmp_path, _vb_cfg(seed=22))
+    records["ids"][2] = 0
+    _rewrite(path, meta, records)
+    with pytest.raises(ParseError, match="ids: duplicate scene id 0") as info:
         load_dataset(path)
-    assert info.value.path == str(path) and info.value.line_no == no
+    assert info.value.path == str(path)
 
 
-@pytest.mark.parametrize("prefix, line, message", [
-    ("noise ", "noise 0.5 junk", "noise: expected one value, got 2"),
-    ("corrupt_prob ", "corrupt_prob 0 9", "corrupt_prob: expected one value, got 2"),
-    ("complementary ", "complementary 7", "complementary: bad value '7'"),
-    ("noise ", "noise abc", "noise: bad value 'abc'"),
-    ("branch b ", "branch a 8", "duplicate branch 'a'"),
-    # values that parse but that SceneConfig rejects, at their own line
-    ("noise ", "noise -1", "noise must be finite and >= 0"),
-    ("corrupt_prob ", "corrupt_prob 2", "corrupt_prob must lie in"),
-    ("num_activities ", "num_activities 7", "even activity count"),
-    ("num_actions ", "num_actions 1", "need at least 2 actions"),
-    ("n_actors ", "n_actors 0 3", "bad actor count range"),
-    ("branch b ", "branch b 2", "needs dim >= 4"),
+@pytest.mark.parametrize("key, value, message", [
+    ("noise", "0.5 junk", "noise: bad value '0.5 junk'"),
+    ("corrupt_prob", "0 9", "corrupt_prob: bad value '0 9'"),
+    ("complementary", "7", "complementary: bad value '7'"),
+    ("noise", "abc", "noise: bad value 'abc'"),
+    ("+branch.a", "8", "duplicate metadata key 'branch.a'"),
+    # values that decode but that SceneConfig rejects, naming the field
+    ("noise", "-1.0", "noise must be finite and >= 0"),
+    ("corrupt_prob", "2.0", "corrupt_prob must lie in"),
+    ("num_activities", "7", "num_activities: key-actor-side needs an even activity count"),
+    ("num_actions", "1", "num_actions: need at least 2 actions"),
+    ("n_actors.lo", "0", "n_actors: bad actor count range"),
+    ("branch.b", "2", "needs dim >= 4"),
     # integers must be the canonical decimals a save writes
-    ("seed ", "seed 1_0", "seed: bad value '1_0'"),
-    ("seed ", "seed 007", "seed: bad value '007'"),
-    ("actors ", "actors +4", r"actors: bad value '\+4'"),
-    ("scene ", "scene \u0661", "scene: bad value"),
-    ("n_actors ", "n_actors 12 1_2", "n_actors: bad integer"),
-    ("branch a ", "branch a +8", "branch: bad dim"),
-    ("actions ", "actions " + " ".join(["+4"] * 12), "bad action id"),
-    ("noise ", "noise 0_5", "noise: bad value '0_5'"),
+    ("seed", "1_0", "seed: bad value '1_0'"),
+    ("seed", "007", "seed: bad value '007'"),
+    ("n_actors.hi", "+12", r"n_actors.hi: bad value '\+12'"),
+    ("ids", 1.5, "ids: entry 0: 1.5 is not an integer"),
+    ("n_actors.hi", "1_2", "n_actors.hi: bad value '1_2'"),
+    ("branch.a", "+8", r"branch.a: bad value '\+8'"),
+    ("actions", 4.5, "actions: scene 0: 4.5 is not an integer"),
+    ("noise", "0_5", "noise: bad value '0_5'"),
 ], ids=["noise-extra-cell", "corrupt-prob-extra-cell", "complementary-7", "noise-abc",
         "repeated-branch", "noise-negative", "corrupt-prob-2", "activities-odd", "one-action",
         "zero-actors", "dim-2", "seed-underscore", "seed-leading-zero", "actors-plus",
         "scene-arabic-digit", "n-actors-underscore", "dim-plus", "action-plus",
         "noise-underscore"])
-def test_bad_header_field_is_a_parse_error_naming_its_line(tmp_path, prefix, line, message):
-    path = tmp_path / "ds.scenes"
-    save_dataset(generate(_vb_cfg(seed=23, branch_dims={"a": 8, "b": 8}), 2), path)
-    lines = path.read_text().splitlines()
-    no = next(i for i, text in enumerate(lines, start=1) if text.startswith(prefix))
-    lines[no - 1] = line
-    path.write_text("\n".join(lines) + "\n")
+def test_bad_header_field_is_a_parse_error_naming_its_line(tmp_path, key, value, message):
+    # v3 names the metadata key (or, for a per-scene integer that is not an
+    # integer, the record) where v2 named the line
+    path, meta, records = _saved(tmp_path, _vb_cfg(seed=23, branch_dims={"a": 8, "b": 8}), 2)
+    if key in records:
+        records[key][0] = value
+    elif key.startswith("+"):  # a second entry: a dict holds one, so it is renamed in the bytes
+        meta["branch.X"] = value
+    else:
+        meta[key] = value
+    _rewrite(path, meta, records)
+    path.write_bytes(path.read_bytes().replace(b"branch.X", key[1:].encode()))
     with pytest.raises(ParseError, match=message) as info:
         load_dataset(path)
-    assert info.value.path == str(path) and info.value.line_no == no
-
-
-@pytest.mark.parametrize("first_cells", [["1_0.5", "0.5"], ["\u0661", "0.5"], ["0.5\u00a00.5"]],
-                         ids=["underscore", "arabic-digit", "no-break-space"])
-@pytest.mark.parametrize("block", ["prototypes static", "centers", "features static"])
-def test_float_block_takes_only_ascii_tokens_without_underscores(tmp_path, first_cells, block):
-    path = tmp_path / "ds.scenes"
-    save_dataset(generate(_vb_cfg(seed=24), 3), path)
-    lines = path.read_text().splitlines()
-    no = lines.index(block) + 3  # 1-based number of the block's third row
-    cells = lines[no - 1].split()
-    cells[:2] = first_cells
-    lines[no - 1] = " ".join(cells)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ParseError, match="bad float") as info:
-        load_dataset(path)
-    assert info.value.path == str(path) and info.value.line_no == no
-
-
-def _whole_text(ds):
-    """The file save_dataset writes, as one join of every line (the layout
-    of the format, built value by value)."""
-    cfg = ds.config
-    lo, hi = cfg.actor_range
-    names = cfg.branch_names
-
-    def rows(block):
-        return [" ".join(f17(v) for v in row) for row in block]
-
-    lines = [FORMAT_HEADER, f"rule {cfg.rule}", f"num_actions {cfg.num_actions}",
-             f"num_activities {cfg.num_activities}", f"n_actors {lo} {hi}",
-             f"noise {f17(cfg.noise)}", f"complementary {int(cfg.complementary)}",
-             f"corrupt_prob {f17(cfg.corrupt_prob)}", f"seed {cfg.seed}",
-             f"branches {len(names)}"]
-    lines += [f"branch {b} {cfg.branch_dims[b]}" for b in names]
-    for b in names:
-        lines += [f"prototypes {b}"] + rows(ds.prototypes[b])
-    lines.append(f"scenes {len(ds.scenes)}")
-    for s in ds.scenes:
-        lines += [f"scene {s.scene_id}", f"activity {s.activity}", f"actors {s.n_actors}",
-                  "actions " + " ".join(map(str, s.actions)), "centers"] + rows(s.centers)
-        for b in names:
-            lines += [f"features {b}"] + rows(s.features[b])
-    return "\n".join(lines + ["end"]) + "\n"
+    assert info.value.path == str(path)
 
 
 THREE_BRANCHES = dict(rule="majority-action", num_actions=8, num_activities=8, n_actors=(6, 14),
@@ -419,15 +365,35 @@ THREE_BRANCHES = dict(rule="majority-action", num_actions=8, num_activities=8, n
     _cc_cfg(n_actors=1, seed=26),
     SceneConfig(**THREE_BRANCHES, seed=27),
 ], ids=["ragged", "one-actor", "three-branches"])
-def test_save_writes_the_whole_text_join(tmp_path, cfg):
+def test_streaming_save_equals_one_shot_write_container(tmp_path, cfg):
     ds = generate(cfg, 40, start_id=7)
     path = tmp_path / "ds.scenes"
-    save_dataset(ds, path)
-    assert path.read_bytes() == _whole_text(ds).encode()
-    empty = SceneDataset(cfg, ds.prototypes, [])
-    save_dataset(empty, path)
-    assert path.read_bytes() == _whole_text(empty).encode()
-    assert load_dataset(path) == empty
+    for scenes in (ds.scenes, []):
+        part = SceneDataset(cfg, ds.prototypes, scenes)
+        save_dataset(part, path)
+        packed = {f"prototypes/{b}": ds.prototypes[b] for b in cfg.branch_names}
+        packed["sizes"] = np.array([s.n_actors for s in scenes], float)
+        packed["ids"] = np.array([s.scene_id for s in scenes], float)
+        packed["activities"] = np.array([s.activity for s in scenes], float)
+        rows = [[s.actions for s in scenes], [s.centers for s in scenes]]
+        for b in cfg.branch_names:
+            rows.append([s.features[b] for s in scenes])
+        names = ["actions", "centers"] + [f"features/{b}" for b in cfg.branch_names]
+        widths = [(), (2,)] + [(cfg.branch_dims[b],) for b in cfg.branch_names]
+        for name, parts, width in zip(names, rows, widths):
+            packed[name] = np.concatenate(parts).astype(float) if parts else np.zeros((0, *width))
+        one_shot = tmp_path / "one-shot.scenes"
+        lo, hi = cfg.actor_range
+        meta = {"rule": cfg.rule, "num_actions": str(cfg.num_actions),
+                "num_activities": str(cfg.num_activities), "noise": repr(cfg.noise),
+                "complementary": str(int(cfg.complementary)),
+                "corrupt_prob": repr(cfg.corrupt_prob), "seed": str(cfg.seed),
+                "n_actors.lo": str(lo), "n_actors.hi": str(hi),
+                **{f"branch.{b}": str(cfg.branch_dims[b]) for b in cfg.branch_names}}
+        write_container(one_shot, MAGIC, VERSION, meta,
+                        [(name, arr.shape, (arr,)) for name, arr in packed.items()])
+        assert path.read_bytes() == one_shot.read_bytes()
+        assert load_dataset(path) == part
 
 
 def test_save_and_load_hold_one_scene_of_text_at_a_time(tmp_path):
@@ -454,49 +420,44 @@ def test_save_and_load_hold_one_scene_of_text_at_a_time(tmp_path):
     assert load_peak - held < 0.1 * size, (load_peak, held, size)
 
 
-def _saved_lines(tmp_path, seed):
-    path = tmp_path / "ds.scenes"
-    save_dataset(generate(_vb_cfg(seed=seed, n_actors=(1, 5)), 6), path)
-    return path, path.read_bytes().split(b"\n")[:-1]
-
-
-def test_crlf_copy_loads_to_an_equal_dataset(tmp_path):
-    path, lines = _saved_lines(tmp_path, 29)
-    crlf = tmp_path / "crlf.scenes"
-    crlf.write_bytes(b"\r\n".join(lines) + b"\r\n")
-    assert load_dataset(crlf) == load_dataset(path)
-
-
 def test_bad_utf8_deep_in_the_file_names_its_line(tmp_path):
-    path, lines = _saved_lines(tmp_path, 30)
-    no = len(lines) - 3
-    lines[no - 1] = lines[no - 1][:5] + b"\xff" + lines[no - 1][5:]
-    path.write_bytes(b"\n".join(lines) + b"\n")
-    with pytest.raises(ParseError, match="not UTF-8 text") as info:
+    # v3 names what holds the bytes: here the last record's name
+    path, _, _ = _saved(tmp_path, _vb_cfg(seed=30, n_actors=(1, 5)), 6)
+    data = path.read_bytes()
+    at = data.rindex(b"features/static")
+    path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+    with pytest.raises(ParseError, match="record name is not UTF-8") as info:
         load_dataset(path)
-    assert info.value.path == str(path) and info.value.line_no == no
-
-
-@pytest.mark.parametrize("separator", [b"\x0c", b"\x1c", b"\r"])
-def test_only_newlines_end_lines(tmp_path, separator):
-    # str.splitlines() also ends a line at these; two rows joined by one read as one row
-    path, lines = _saved_lines(tmp_path, 32)
-    no = lines.index(b"centers") + 2
-    lines[no - 1:no + 1] = [lines[no - 1] + separator + lines[no]]
-    path.write_bytes(b"\n".join(lines) + b"\n")
-    with pytest.raises(ParseError, match="expected 2 values, got [34]") as info:
-        load_dataset(path)
-    assert info.value.line_no == no
+    assert info.value.path == str(path)
 
 
 def test_truncated_block_and_trailing_content_name_their_lines(tmp_path):
-    path, lines = _saved_lines(tmp_path, 31)
-    no = len(lines) - 2  # the last scene's last feature row
-    path.write_bytes(b"\n".join(lines[:no - 1]) + b"\n")
-    with pytest.raises(ParseError, match="unexpected end of file") as info:
+    # v3 names the record that a cut ends in, and counts the trailing bytes
+    path, _, _ = _saved(tmp_path, _vb_cfg(seed=31, n_actors=(1, 5)), 6)
+    data = path.read_bytes()
+    path.write_bytes(data[:-8])
+    with pytest.raises(ParseError, match="truncated dataset: record 'features/static'"):
         load_dataset(path)
-    assert info.value.line_no == no
-    path.write_bytes(b"\n".join(lines + [b"scene 9"]) + b"\n")
-    with pytest.raises(ParseError, match="trailing content after 'end'") as info:
+    path.write_bytes(data + b"scene 9\n")
+    with pytest.raises(ParseError, match="8 trailing bytes after the dataset's last record"):
         load_dataset(path)
-    assert info.value.line_no == len(lines) + 1
+
+
+@pytest.mark.parametrize("record", ["sizes", "features/static"])
+def test_forged_record_shape_is_a_parse_error_not_a_memory_error(tmp_path, record):
+    path, _, records = _saved(tmp_path, _vb_cfg(seed=32))
+    data = path.read_bytes()
+    shape = records[record].shape
+    dims = struct.pack(f"<I{len(shape)}Q", len(shape), *shape)
+    at = data.index(record.encode() + dims) + len(record)
+    forged = struct.pack(f"<I{len(shape)}Q", len(shape), *([2**40] * len(shape)))
+    path.write_bytes(data[:at] + forged + data[at + len(dims):])
+    with pytest.raises(ParseError, match=f"truncated dataset: record '{record}' of shape"):
+        load_dataset(path)
+
+
+def test_scene_id_float64_cannot_hold_exactly_is_a_save_error(tmp_path):
+    ds = generate(_vb_cfg(seed=33), 2, start_id=2**53)  # ids 2**53 and 2**53 + 1
+    with pytest.raises(DataError, match="scene_id is too large to store exactly"):
+        save_dataset(ds, tmp_path / "ds.scenes")
+    assert list(tmp_path.iterdir()) == []
