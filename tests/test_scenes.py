@@ -301,6 +301,32 @@ def test_float_lines_matches_the_per_value_f17_join():
     assert float_lines(np.array([[-0.0, 5e-324]])) == "-0 4.9406564584124654e-324"
 
 
+def test_bad_float_token_names_its_line(tmp_path):
+    # v3 keeps float tokens only in the metadata; a bad one names its key
+    for key in ("noise", "corrupt_prob"):
+        path, meta, records = _saved(tmp_path, _vb_cfg(seed=19, branch_dims={"rgb": 8,
+                                                                            "static": 16}))
+        meta[key] = "1.2.3"
+        _rewrite(path, meta, records)
+        with pytest.raises(ParseError, match=f"{key}: bad value '1.2.3'") as info:
+            load_dataset(path)
+        assert info.value.path == str(path)
+
+
+def test_negative_scene_count_is_a_parse_error_naming_the_line(tmp_path):
+    # v3 holds the scene count as the length of the per-scene records; -3
+    # written over it reads as a huge unsigned length, which must fail
+    # naming the record instead of loading as an empty dataset
+    path, _, records = _saved(tmp_path, _vb_cfg(seed=21), 2)
+    data = path.read_bytes()
+    at = data.index(b"sizes" + struct.pack("<IQ", 1, 2)) + len(b"sizes") + 4
+    path.write_bytes(data[:at] + struct.pack("<q", -3) + data[at + 8:])
+    with pytest.raises(ParseError, match=re.escape(
+            f"truncated dataset: record 'sizes' of shape ({2**64 - 3},)")) as info:
+        load_dataset(path)
+    assert info.value.path == str(path)
+
+
 def test_duplicate_scene_id_is_a_parse_error_naming_the_line(tmp_path):
     # v3 names the record and the repeated id
     path, meta, records = _saved(tmp_path, _vb_cfg(seed=22))
@@ -365,7 +391,9 @@ THREE_BRANCHES = dict(rule="majority-action", num_actions=8, num_activities=8, n
     _cc_cfg(n_actors=1, seed=26),
     SceneConfig(**THREE_BRANCHES, seed=27),
 ], ids=["ragged", "one-actor", "three-branches"])
-def test_streaming_save_equals_one_shot_write_container(tmp_path, cfg):
+def test_save_writes_the_whole_text_join(tmp_path, cfg):
+    # v3's whole join: the scene-by-scene save writes the bytes of one
+    # write_container of every record packed over all scenes
     ds = generate(cfg, 40, start_id=7)
     path = tmp_path / "ds.scenes"
     for scenes in (ds.scenes, []):
@@ -429,6 +457,20 @@ def test_bad_utf8_deep_in_the_file_names_its_line(tmp_path):
     with pytest.raises(ParseError, match="record name is not UTF-8") as info:
         load_dataset(path)
     assert info.value.path == str(path)
+
+
+@pytest.mark.parametrize("separator", [b"\x0c", b"\x1c", b"\r"])
+def test_only_newlines_end_lines(tmp_path, separator):
+    # str.splitlines() ends a line at these bytes; v3 has no lines, and a
+    # value made of nothing but one of them loads back whole
+    value = struct.unpack("<d", separator * 8)[0]  # tiny, positive: a valid center
+    ds = generate(_vb_cfg(seed=32, n_actors=(1, 5)), 6)
+    ds.scenes[1].centers[0, 1] = value
+    path = tmp_path / "ds.scenes"
+    save_dataset(ds, path)
+    assert separator * 8 in path.read_bytes()
+    loaded = load_dataset(path)
+    assert loaded == ds and loaded.scenes[1].centers[0, 1] == value
 
 
 def test_truncated_block_and_trailing_content_name_their_lines(tmp_path):
