@@ -13,7 +13,10 @@ per-branch class probabilities with fixed weights.
 Every model runs a minibatch as one forward pass (forward_batch): the
 actors of all scenes are packed into one row matrix, and only attention and
 set pooling look at the scene boundaries. forward(inputs) is the batch of
-one. forward_batch raises NumericsError when its logits are not finite.
+one. A pass starts from the packed feature arrays: outside a recording
+Graph every op on them runs untaped (see tensor), and only the outputs are
+wrapped as Tensors. A pass raises NumericsError when its input features or
+its logits are not finite.
 Late fusion, too, packs a batch once for all its members, and branches that
 read the same centers share one position-code table per forward pass.
 """
@@ -33,12 +36,14 @@ from .tensor import (
     SetLayout,
     Tensor,
     add,
+    box,
     concat_last_dim,
     matmul,
     max_over_sets,
     mul,
     reshape,
     softmax_rows,
+    unbox,
 )
 from .transformer import EncoderConfig, EncoderWeights, encode, xavier_uniform
 
@@ -110,7 +115,8 @@ class BranchInput:
     centers: np.ndarray  # (n, 2), coords in [0, 1]
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        # contiguous, as Tensor() makes it, so an untaped pass computes the same bits
+        self.features = np.ascontiguousarray(self.features, dtype=np.float64)
         self.centers = np.asarray(self.centers, dtype=np.float64)
         if self.features.ndim != 2:
             raise ShapeError(f"features must be (n, f), got {self.features.shape}")
@@ -147,8 +153,8 @@ def predict(pred: Prediction):
 
     For a batch: (group ids per scene, action ids per packed actor row).
     """
-    groups = np.argmax(pred.activity_logits.data, axis=-1)
-    actions = np.argmax(pred.action_logits.data, axis=1)
+    groups = pred.activity_logits.data.argmax(axis=-1)
+    actions = pred.action_logits.data.argmax(axis=1)
     return (int(groups) if pred.sizes is None else groups), actions
 
 
@@ -160,7 +166,8 @@ def pack_inputs(batch: Sequence[Mapping[str, BranchInput]], feature_dims: Mappin
     one actor count across its branches, and every box center must lie in
     [0, 1]. This is the one place a model checks its input centers; every
     forward and forward_batch goes through it. Branches whose scenes hold the
-    same centers arrays share one packed centers array, checked once.
+    same centers arrays share one packed centers array, checked once. A batch
+    of one is its own packing: its inputs are returned, not copied.
     """
     if not batch:
         raise DataError("a batch needs at least one scene")
@@ -178,17 +185,18 @@ def pack_inputs(batch: Sequence[Mapping[str, BranchInput]], feature_dims: Mappin
                 raise ShapeError(f"branch {b!r} has {feats.shape[0]} actors, expected {n}")
             n = feats.shape[0]
         sizes.append(n)
+    one = len(batch) == 1
     packed, packed_centers = {}, {}
     for b in feature_dims:
         parts = [inputs[b].centers for inputs in batch]
         key = tuple(map(id, parts))  # batch keeps every part alive, so ids are unique
         if key not in packed_centers:
-            centers = packed_centers[key] = np.concatenate(parts)
+            centers = packed_centers[key] = parts[0] if one else np.concatenate(parts)
             if not (centers.min() >= 0.0 and centers.max() <= 1.0):  # a NaN fails it too
                 x, y = centers[~((centers >= 0.0) & (centers <= 1.0)).all(axis=1)][0]
                 raise DataError(f"branch {b!r}: box center out of [0, 1]: ({x}, {y})")
-        packed[b] = BranchInput(np.concatenate([inputs[b].features for inputs in batch]),
-                                packed_centers[key])
+        packed[b] = batch[0][b] if one else BranchInput(
+            np.concatenate([inputs[b].features for inputs in batch]), packed_centers[key])
     return packed, tuple(sizes)
 
 
@@ -203,8 +211,15 @@ def checked(pred: Prediction) -> Prediction:
 def one_scene(pred: Prediction) -> Prediction:
     """The only scene of a batch of one, as a one-scene Prediction."""
     g = pred.activity_logits
-    return Prediction(pred.action_logits, reshape(g, (g.shape[1],)),
+    return Prediction(pred.action_logits, box(reshape(unbox(g), (g.shape[1],))),
                       None if pred.attention is None else pred.attention[0])
+
+
+def _checked_features(features: np.ndarray) -> np.ndarray:
+    """features, which a pass starts from, after the check Tensor() would make."""
+    if not np.isfinite(features).all():
+        raise NumericsError("non-finite actor features")
+    return features
 
 
 def embed(features: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -247,7 +262,8 @@ def _read_out(x: Tensor, w, layout: SetLayout, mode, rng, record_attention, cent
         x, rec = encode(x, w.encoder, mode, rng, record_attention, layout)
     action_logits = matmul(x, w.action_w)
     activity_logits = matmul(max_over_sets(x, layout), w.activity_w)
-    return Prediction(action_logits, activity_logits, rec, tuple(layout.sizes.tolist()))
+    return Prediction(box(action_logits), box(activity_logits), rec,
+                      tuple(layout.sizes.tolist()))
 
 
 def forward_branch(inp: BranchInput, w: BranchWeights, mode=MODE_INFER, rng=None,
@@ -264,7 +280,7 @@ def forward_branch(inp: BranchInput, w: BranchWeights, mode=MODE_INFER, rng=None
         return one_scene(forward_branch(inp, w, mode, rng, record_attention,
                                         (inp.features.shape[0],), codes))
     layout = SetLayout.of(sizes, inp.features.shape[0])
-    x = Tensor(inp.features)
+    x = _checked_features(inp.features)
     if cfg.use_pe and cfg.pe_stage == PE_PRE_EMBED:
         x = apply_pe(x, inp.centers, cfg.pe_scale, codes)
     post_embed = cfg.use_pe and cfg.pe_stage == PE_POST_EMBED
@@ -354,7 +370,7 @@ class EarlyFusionModel:
         embedded, codes = [], {}
         for b in self.branches:
             w, bias = self.embeds[b]
-            e = embed(Tensor(packed[b].features), w, bias)
+            e = embed(_checked_features(packed[b].features), w, bias)
             if self.cfg.use_pe and self.early_pe == EARLY_PE_PER_BRANCH:
                 e = apply_pe(e, packed[b].centers, self.cfg.pe_scale, codes)
             embedded.append(e)
@@ -365,7 +381,8 @@ class EarlyFusionModel:
         else:
             x = matmul(concat_last_dim(embedded), self.proj)
         after_fusion = self.cfg.use_pe and self.early_pe == EARLY_PE_AFTER_FUSION
-        return checked(_read_out(x, self, SetLayout(sizes), mode, rng, record_attention,
+        layout = SetLayout.of(sizes, x.shape[0])
+        return checked(_read_out(x, self, layout, mode, rng, record_attention,
                                  packed[self.branches[0]].centers if after_fusion else None,
                                  codes))
 
@@ -417,15 +434,15 @@ class LateFusionModel:
     def forward_batch(self, batch: Sequence[Mapping[str, BranchInput]], mode=MODE_INFER,
                       rng=None, record_attention=False) -> Prediction:
         packed, sizes = pack_inputs(batch, {b: self.models[b].cfg.feature_dim for b in self.branches})
-        layout, codes = SetLayout(sizes), {}
+        layout, codes = SetLayout.of(sizes, sum(sizes)), {}
         action_mix = activity_mix = None
         recs = {}
         for b in self.branches:
             pred = checked(forward_branch(packed[b], self.models[b].weights, mode, rng,
                                           record_attention, layout, codes))
             wgt = self.weights[b]
-            act = mul(softmax_rows(pred.action_logits), wgt)
-            grp = mul(softmax_rows(pred.activity_logits), wgt)
+            act = mul(softmax_rows(unbox(pred.action_logits)), wgt)
+            grp = mul(softmax_rows(unbox(pred.activity_logits)), wgt)
             action_mix = act if action_mix is None else add(action_mix, act)
             activity_mix = grp if activity_mix is None else add(activity_mix, grp)
             recs[b] = pred.attention
@@ -434,7 +451,7 @@ class LateFusionModel:
             attention = [{b: None if recs[b] is None else recs[b][i] for b in self.branches}
                          for i in range(len(sizes))]
         # every branch's logits passed checked(); mixing their softmaxes stays finite
-        return Prediction(action_mix, activity_mix, attention, sizes)
+        return Prediction(box(action_mix), box(activity_mix), attention, sizes)
 
     def parameters(self):
         out = []

@@ -46,5 +46,5 @@ def apply_pe(s: Tensor, centers: np.ndarray, scale: float = 100.0, codes=None) -
     codes = {} if codes is None else codes
     key = (id(centers), s.shape[1], scale)
     if key not in codes:  # the entry holds centers, so no other array takes its id
-        codes[key] = (centers, Tensor(pe_table(centers, s.shape[1], scale)))
+        codes[key] = (centers, pe_table(centers, s.shape[1], scale))
     return add(s, codes[key][1])

@@ -13,17 +13,28 @@ actors of scene 0, then scene 1, and so on (a SetLayout records the sizes).
 Row-wise ops need nothing more; set_attention and max_over_sets are the ops
 that work per set.
 
+An op whose first operand is a plain ndarray, called while no train-mode
+Graph records, computes untaped: it runs the same shape checks and
+expressions on the arrays as given (a Tensor operand gives its data) and
+returns the output array, with no Tensor, closure or node. On contiguous
+float64 arrays, which Tensor() makes of its input, that is the taped output
+bit for bit at plain numpy's cost; the models start every pass that way.
+Any other call records as above; unbox and box move a pass's values between
+the two forms. The loss ops always return Tensors.
+
 All values are float64. Tensor(data) raises NumericsError on a NaN or an
 infinity in data; op outputs are not checked, so that every op costs only
-its arithmetic. Finiteness is checked where values leave the tape instead:
-the model's forward_batch checks its logits, and training checks the loss
-and the parameter gradients of every step.
+its arithmetic. Finiteness is checked where values enter or leave a pass
+instead: the models check a pass's input features and its logits, and
+training checks the loss and the parameter gradients of every step.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
 import os
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -191,10 +202,14 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
+def _recording() -> bool:
+    return bool(_GRAPH_STACK) and _GRAPH_STACK[-1].mode == MODE_TRAIN
+
+
 def _result(data, inputs, vjp):
     """Wrap op output, unchecked; record a node iff a train-mode graph is active."""
     out = Tensor(data, _check=False)
-    if _GRAPH_STACK and _GRAPH_STACK[-1].mode == MODE_TRAIN:
+    if _recording():
         graph = out._graph = _GRAPH_STACK[-1]
         out._node_id = len(graph.nodes)
         graph.nodes.append((inputs, vjp))
@@ -205,121 +220,172 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _operands(*xs):
+    """(arrays, tape) of an op's operands. Untaped (see the module notes), tape
+    is None and arrays hold the ndarrays and Tensor data; else every operand
+    becomes a Tensor, as Tensor() makes them, and tape lists those to record."""
+    arrays = []  # loops: on Python 3.11 a comprehension costs a call per op
+    if xs and type(xs[0]) is np.ndarray and not _recording():
+        for x in xs:
+            arrays.append(x.data if isinstance(x, Tensor) else x)
+        return arrays, None
+    tape = []
+    for x in xs:
+        tape.append(x if isinstance(x, Tensor) else Tensor(x))
+        arrays.append(tape[-1].data)
+    return arrays, tape
+
+
+def unbox(t):
+    """t's data while no train-mode Graph records, so the ops on it run untaped; else t."""
+    return t.data if isinstance(t, Tensor) and not _recording() else t
+
+
+def box(x) -> Tensor:
+    """x as a Tensor: an untaped pass's array wrapped unchecked, as ops wrap theirs."""
+    return x if isinstance(x, Tensor) else Tensor(x, _check=False)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; also accepts (m, n) + (n,) for a row-broadcast bias."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape == b.shape:
+    (ad, bd), tape = _operands(a, b)
+    if ad.shape == bd.shape:
         bias_rows = False
-    elif a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
+    elif ad.ndim == 2 and bd.ndim == 1 and ad.shape[1] == bd.shape[0]:
         bias_rows = True
     else:
-        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
+        raise ShapeError(f"add: incompatible shapes {ad.shape} and {bd.shape}")
+    out = ad + bd
+    if tape is None:
+        return out
 
     def vjp(g):
         return (g, g.sum(axis=0)) if bias_rows else (g, g)
 
-    return _result(a.data + b.data, (a, b), vjp)
+    return _result(out, tape, vjp)
 
 
 def mul(a: Tensor, b) -> Tensor:
     """a * b where b is a same-shape tensor or a python scalar."""
-    a = _as_tensor(a)
     if isinstance(b, (int, float)):
+        (ad,), tape = _operands(a)
         c = float(b)
+        out = ad * c
+        if tape is None:
+            return out
 
         def vjp(g):
             return (g * c,)
 
-        return _result(a.data * c, (a,), vjp)
-    b = _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-    ad, bd = a.data, b.data
+        return _result(out, tape, vjp)
+    (ad, bd), tape = _operands(a, b)
+    if ad.shape != bd.shape:
+        raise ShapeError(f"mul: incompatible shapes {ad.shape} and {bd.shape}")
+    out = ad * bd
+    if tape is None:
+        return out
 
     def vjp(g):
         return (g * bd, g * ad)
 
-    return _result(ad * bd, (a, b), vjp)
+    return _result(out, tape, vjp)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul: need 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dims disagree, {a.shape} @ {b.shape}")
-    ad, bd = a.data, b.data
+    (ad, bd), tape = _operands(a, b)
+    if ad.ndim != 2 or bd.ndim != 2:
+        raise ShapeError(f"matmul: need 2-d operands, got {ad.shape} and {bd.shape}")
+    if ad.shape[1] != bd.shape[0]:
+        raise ShapeError(f"matmul: inner dims disagree, {ad.shape} @ {bd.shape}")
+    out = ad @ bd
+    if tape is None:
+        return out
 
     def vjp(g):
         return (g @ bd.T, ad.T @ g)
 
-    return _result(ad @ bd, (a, b), vjp)
+    return _result(out, tape, vjp)
 
 
 def transpose(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"transpose: need a 2-d tensor, got {a.shape}")
+    (ad,), tape = _operands(a)
+    if ad.ndim != 2:
+        raise ShapeError(f"transpose: need a 2-d tensor, got {ad.shape}")
+    if tape is None:
+        return ad.T
 
     def vjp(g):
         return (np.ascontiguousarray(g.T),)
 
-    return _result(a.data.T, (a,), vjp)
+    return _result(ad.T, tape, vjp)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    a = _as_tensor(a)
+    (ad,), tape = _operands(a)
     shape = tuple(shape)
-    if int(np.prod(shape, dtype=np.int64)) != a.size:
-        raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
-    old_shape = a.shape
+    # exact integers: an int64 product can wrap around to the element count
+    if min(shape, default=0) < 0 or math.prod(shape) != ad.size:
+        raise ShapeError(f"reshape: cannot view {ad.shape} as {shape}")
+    out = ad.reshape(shape)
+    if tape is None:
+        return out
+    old_shape = ad.shape
 
     def vjp(g):
         return (g.reshape(old_shape),)
 
-    return _result(a.data.reshape(shape), (a,), vjp)
+    return _result(out, tape, vjp)
 
 
 def relu(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    mask = a.data > 0
+    (ad,), tape = _operands(a)
+    out = np.maximum(ad, 0.0)
+    if tape is None:
+        return out
+    mask = ad > 0
 
     def vjp(g):
         return (g * mask,)
 
-    return _result(np.maximum(a.data, 0.0), (a,), vjp)
+    return _result(out, tape, vjp)
 
 
 def sum_all(a: Tensor) -> Tensor:
-    """Sum of all elements, as a 0-d tensor."""
-    a = _as_tensor(a)
-    shape = a.shape
+    """Sum of all elements, as a one-element tensor."""
+    (ad,), tape = _operands(a)
+    out = ad.sum().reshape(1)
+    if tape is None:
+        return out
+    shape = ad.shape
 
     def vjp(g):
         return (np.broadcast_to(g, shape).copy(),)
 
-    return _result(a.data.sum(), (a,), vjp)
+    return _result(out, tape, vjp)
 
 
 def concat_last_dim(parts) -> Tensor:
     """Concatenate 2-d tensors along columns. Backward splits the gradient."""
-    parts = [_as_tensor(p) for p in parts]
-    if not parts:
+    arrays, tape = _operands(*parts)
+    if not arrays:
         raise UsageError("concat_last_dim: no tensors given")
-    rows = parts[0].shape[0] if parts[0].ndim == 2 else None
-    for p in parts:
+    rows = arrays[0].shape[0] if arrays[0].ndim == 2 else None
+    for p in arrays:
         if p.ndim != 2 or p.shape[0] != rows:
             raise ShapeError(
                 "concat_last_dim: all parts must be 2-d with equal row counts, got "
-                + ", ".join(str(q.shape) for q in parts)
+                + ", ".join(str(q.shape) for q in arrays)
             )
+    out = np.concatenate(arrays, axis=1)
+    if tape is None:
+        return out
 
     def vjp(g):
         # column views of g, one per part; np.split gives the same views 5-10x slower
-        edges = [0, *accumulate(p.shape[1] for p in parts)]
+        edges = [0, *accumulate(p.shape[1] for p in arrays)]
         return [g[:, a:b] for a, b in zip(edges, edges[1:])]
 
-    return _result(np.concatenate([p.data for p in parts], axis=1), tuple(parts), vjp)
+    return _result(out, tape, vjp)
 
 
 class SetLayout:
@@ -351,9 +417,12 @@ class SetLayout:
 
     @staticmethod
     def of(sizes, rows: int) -> "SetLayout":
-        """sizes as a SetLayout (None: the rows form one set), checked against rows."""
-        if not isinstance(sizes, SetLayout):
-            sizes = SetLayout((rows,) if sizes is None else sizes)
+        """sizes as a SetLayout (None: the rows form one set), checked against rows.
+        Every one-set layout of a row count is one shared object."""
+        if sizes is None or (type(sizes) is tuple and sizes == (rows,)):
+            sizes = _one_set(rows)
+        elif not isinstance(sizes, SetLayout):
+            sizes = SetLayout(sizes)
         if sizes.rows != rows:
             raise ShapeError(f"set sizes add up to {sizes.rows} rows, tensor has {rows}")
         return sizes
@@ -373,6 +442,11 @@ class SetLayout:
         return x.reshape(-1, x.shape[2])[self.flat]
 
 
+@lru_cache(maxsize=256)
+def _one_set(rows: int) -> SetLayout:  # shared: nothing writes to a layout
+    return SetLayout((rows,))
+
+
 def max_over_sets(a: Tensor, sizes=None) -> Tensor:
     """Columnwise max over the rows of each packed set: (N, d) -> (B, d).
 
@@ -380,31 +454,34 @@ def max_over_sets(a: Tensor, sizes=None) -> Tensor:
     gradient flows only to the winning row per set and column; ties break
     toward the lowest row index.
     """
-    a = _as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"max_over_sets: need a 2-d tensor, got {a.shape}")
-    if a.shape[0] == 0:
+    (ad,), tape = _operands(a)
+    if ad.ndim != 2:
+        raise ShapeError(f"max_over_sets: need a 2-d tensor, got {ad.shape}")
+    if ad.shape[0] == 0:
         raise EmptySetError("max_over_sets: empty set")
-    layout = SetLayout.of(sizes, a.shape[0])
-    slots = np.argmax(layout.pad(a.data, -np.inf), axis=1)  # first max wins ties
+    layout = SetLayout.of(sizes, ad.shape[0])
+    slots = np.argmax(layout.pad(ad, -np.inf), axis=1)  # first max wins ties
     winners = layout.offsets[:, None] + slots
-    cols = np.arange(a.shape[1])
-    in_shape = a.shape
+    cols = np.arange(ad.shape[1])
+    out = ad[winners, cols]
+    if tape is None:
+        return out
+    in_shape = ad.shape
 
     def vjp(g):
         dx = np.zeros(in_shape)
         dx[winners, cols] = g
         return (dx,)
 
-    return _result(a.data[winners, cols], (a,), vjp)
+    return _result(out, tape, vjp)
 
 
 def max_over_set(a: Tensor) -> Tensor:
     """Columnwise max over the rows of one (n, d) set -> (d,)."""
-    a = _as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"max_over_set: need a 2-d tensor, got {a.shape}")
-    return reshape(max_over_sets(a), (a.shape[1],))
+    (ad,), _ = _operands(a)
+    if ad.ndim != 2:
+        raise ShapeError(f"max_over_set: need a 2-d tensor, got {ad.shape}")
+    return reshape(max_over_sets(a), (ad.shape[1],))
 
 
 def set_attention(q: Tensor, k: Tensor, v: Tensor, sizes=None, record=None) -> Tensor:
@@ -416,14 +493,14 @@ def set_attention(q: Tensor, k: Tensor, v: Tensor, sizes=None, record=None) -> T
     is a list of B lists, set i's (n_i, n_i) weights are appended to
     record[i].
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2 or q.shape != k.shape:
-        raise ShapeError(f"set_attention: bad Q/K/V shapes {q.shape}, {k.shape}, {v.shape}")
-    if v.shape[0] != k.shape[0]:
-        raise ShapeError(f"set_attention: V shape {v.shape} does not match K {k.shape}")
-    layout = SetLayout.of(sizes, q.shape[0])
-    scale = 1.0 / np.sqrt(q.shape[1])
-    qp, kp, vp = layout.pad(q.data), layout.pad(k.data), layout.pad(v.data)
+    (qd, kd, vd), tape = _operands(q, k, v)
+    if qd.ndim != 2 or kd.ndim != 2 or vd.ndim != 2 or qd.shape != kd.shape:
+        raise ShapeError(f"set_attention: bad Q/K/V shapes {qd.shape}, {kd.shape}, {vd.shape}")
+    if vd.shape[0] != kd.shape[0]:
+        raise ShapeError(f"set_attention: V shape {vd.shape} does not match K {kd.shape}")
+    layout = SetLayout.of(sizes, qd.shape[0])
+    scale = 1.0 / np.sqrt(qd.shape[1])
+    qp, kp, vp = layout.pad(qd), layout.pad(kd), layout.pad(vd)
     scores = (qp @ kp.transpose(0, 2, 1)) * scale
     if not layout.uniform:
         scores = np.where(layout.mask[:, None, :], scores, -np.inf)
@@ -432,6 +509,9 @@ def set_attention(q: Tensor, k: Tensor, v: Tensor, sizes=None, record=None) -> T
     if record is not None:
         for i, n in enumerate(layout.sizes):
             record[i].append(w[i, :n, :n].copy())
+    out = layout.unpad(w @ vp)
+    if tape is None:
+        return out
 
     def vjp(g):
         gp = layout.pad(g)  # padded query rows get no gradient
@@ -441,24 +521,26 @@ def set_attention(q: Tensor, k: Tensor, v: Tensor, sizes=None, record=None) -> T
                 layout.unpad(dscores.transpose(0, 2, 1) @ qp),
                 layout.unpad(w.transpose(0, 2, 1) @ gp))
 
-    return _result(layout.unpad(w @ vp), (q, k, v), vjp)
+    return _result(out, tape, vjp)
 
 
 def softmax_rows(a: Tensor) -> Tensor:
     """Row-wise softmax of a 2-d tensor, stabilised by the row max."""
-    a = _as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"softmax_rows: need a 2-d tensor, got {a.shape}")
-    z = a.data - a.data.max(axis=1, keepdims=True)
+    (ad,), tape = _operands(a)
+    if ad.ndim != 2:
+        raise ShapeError(f"softmax_rows: need a 2-d tensor, got {ad.shape}")
+    z = ad - ad.max(axis=1, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=1, keepdims=True)
+    if tape is None:
+        return y
 
     def vjp(g):
         # dL/dx = y * (g - sum_j g_j y_j) per row
         dot = (g * y).sum(axis=1, keepdims=True)
         return (y * (g - dot),)
 
-    return _result(y, (a,), vjp)
+    return _result(y, tape, vjp)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -467,21 +549,23 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     Uses the population variance (divide by d) and eps = 1e-5 inside the
     square root.
     """
-    a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
-    if a.ndim != 2:
-        raise ShapeError(f"layer_norm: need a 2-d input, got {a.shape}")
-    d = a.shape[1]
-    if gain.shape != (d,) or bias.shape != (d,):
+    (ad, gd, bd), tape = _operands(a, gain, bias)
+    if ad.ndim != 2:
+        raise ShapeError(f"layer_norm: need a 2-d input, got {ad.shape}")
+    d = ad.shape[1]
+    if gd.shape != (d,) or bd.shape != (d,):
         raise ShapeError(
-            f"layer_norm: gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}"
+            f"layer_norm: gain/bias must have shape ({d},), got {gd.shape} and {bd.shape}"
         )
     # each mean is np.mean's own reduce-then-divide, without its Python wrapper
-    mu = a.data.sum(axis=1, keepdims=True) / d
-    centered = a.data - mu
+    mu = ad.sum(axis=1, keepdims=True) / d
+    centered = ad - mu
     var = (centered * centered).sum(axis=1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     x_hat = centered * inv_std
-    gd = gain.data
+    out = x_hat * gd + bd
+    if tape is None:
+        return out
 
     def vjp(g):
         gx = g * gd
@@ -490,7 +574,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         dx = inv_std * (gx - m1 - x_hat * m2)
         return (dx, (g * x_hat).sum(axis=0), g.sum(axis=0))
 
-    return _result(x_hat * gd + bias.data, (a, gain, bias), vjp)
+    return _result(out, tape, vjp)
 
 
 def dropout(a: Tensor, rate: float, mode: str, rng=None) -> Tensor:
@@ -500,21 +584,24 @@ def dropout(a: Tensor, rate: float, mode: str, rng=None) -> Tensor:
     positive rate an rng is required; the sampled mask is reused by the
     backward pass.
     """
-    a = _as_tensor(a)
+    (ad,), tape = _operands(a)
     if not (isinstance(rate, (int, float)) and 0.0 <= rate < 1.0):
         raise ConfigError(f"dropout rate must lie in [0, 1), got {rate!r}")
     check_mode(mode)
     if mode == MODE_INFER or rate == 0.0:
-        return a
+        return ad if tape is None else tape[0]
     if rng is None:
         raise UsageError("dropout in train mode with rate > 0 requires an rng")
-    keep = rng.random(a.shape) >= rate
+    keep = rng.random(ad.shape) >= rate
     scaled_mask = keep / (1.0 - rate)
+    out = ad * scaled_mask
+    if tape is None:
+        return out
 
     def vjp(g):
         return (g * scaled_mask,)
 
-    return _result(a.data * scaled_mask, (a,), vjp)
+    return _result(out, tape, vjp)
 
 
 class DropoutDraws:

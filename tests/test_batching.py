@@ -10,6 +10,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import groupact.tensor as tensor_module
 from groupact.errors import EmptySetError, ShapeError, UsageError
 from groupact.evaluation import evaluate_model
 from groupact import posenc
@@ -104,6 +105,42 @@ def _records(attention):
     if isinstance(attention, dict):
         return [m for b in sorted(attention) for m in _records(attention[b])]
     return [m for layer in attention.matrices for m in layer]
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["none", "early-concat", "late"])
+@pytest.mark.parametrize("record", [False, True])
+def test_infer_passes_run_untaped_with_the_taped_bits(kind, record, monkeypatch):
+    model = MODELS[kind](np.random.default_rng(5))
+    batch, _, _ = _batch(np.random.default_rng(6), (3, 16, 7, 11))
+
+    def passes(mode):
+        return ([model.forward_batch(batch, mode, record_attention=record)]
+                + [model.forward(inputs, mode, record_attention=record) for inputs in batch])
+
+    with Graph(MODE_TRAIN) as g:  # dropout is 0, so the train-mode pass computes the same
+        taped = passes(MODE_TRAIN)
+        assert len(g.nodes) > 0
+
+    def no_tape(*args):
+        raise AssertionError("an infer-mode pass called _result")
+
+    monkeypatch.setattr(tensor_module, "_result", no_tape)
+    for got, want in zip(passes(MODE_INFER), taped):
+        assert isinstance(got.action_logits, Tensor) and isinstance(got.activity_logits, Tensor)
+        assert _same_bits(got.action_logits.data, want.action_logits.data)
+        assert _same_bits(got.activity_logits.data, want.activity_logits.data)
+        assert (got.attention is None) == (want.attention is None) == (not record)
+        if record:
+            scenes = (zip(got.attention, want.attention) if got.sizes
+                      else [(got.attention, want.attention)])
+            for got_scene, want_scene in scenes:
+                got_m, want_m = _records(got_scene), _records(want_scene)
+                assert len(got_m) == len(want_m) > 0
+                assert all(_same_bits(a, b) for a, b in zip(got_m, want_m))
 
 
 @pytest.mark.parametrize("kind", sorted(MODELS))

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -18,7 +20,7 @@ from groupact.model import (
 )
 from groupact.scenes import SceneConfig, generate
 from groupact.seeding import rng_for
-from groupact.tensor import MODE_TRAIN, Tensor
+from groupact.tensor import MODE_INFER, MODE_TRAIN, Graph, Tensor
 from groupact.training import joint_loss
 
 from helpers import check_gradients
@@ -273,19 +275,40 @@ def test_single_branch_joint_loss_gradcheck():
     check_gradients(loss, model.parameters())
 
 
-@pytest.mark.parametrize("kind", ["branch", "early-concat", "late"])
-def test_forward_with_a_nan_weight_raises_numerics_error(kind):
+def _model_of(kind):
+    """A model of kind 'branch', 'early-concat' or 'late' over branches a and b."""
     rng = rng_for(21, "init")
     if kind == "branch":
-        model = BranchModel("a", _cfg(), rng)
-    elif kind == "early-concat":
-        model = EarlyFusionModel("concat", {"a": 8, "b": 8}, _cfg(), rng)
-    else:
-        model = LateFusionModel({b: BranchModel(b, _cfg(), rng) for b in ("a", "b")},
-                                {"a": 1.0, "b": 1.0})
+        return BranchModel("a", _cfg(), rng)
+    if kind == "early-concat":
+        return EarlyFusionModel("concat", {"a": 8, "b": 8}, _cfg(), rng)
+    return LateFusionModel({b: BranchModel(b, _cfg(), rng) for b in ("a", "b")},
+                           {"a": 1.0, "b": 1.0})
+
+
+@pytest.mark.parametrize("kind", ["branch", "early-concat", "late"])
+def test_forward_with_a_nan_weight_raises_numerics_error(kind):
+    model = _model_of(kind)
     inp = _scene_input(np.random.default_rng(22))
     model.forward({"a": inp, "b": inp})  # finite weights run
     _, t = model.parameters()[0]
     t.data.reshape(-1)[0] = np.nan
     with pytest.raises(NumericsError):
         model.forward({"a": inp, "b": inp})
+
+
+@pytest.mark.parametrize("kind", ["branch", "early-concat", "late"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_raise_numerics_error(kind, bad):
+    # untaped passes check nothing inside, so the features are checked where a pass starts
+    model = _model_of(kind)
+    rng = np.random.default_rng(23)
+    good, poisoned = _scene_input(rng), _scene_input(rng)
+    poisoned.features[3, 1] = bad
+    scene = {"a": poisoned, "b": good}
+    for mode, graph in ((MODE_INFER, contextlib.nullcontext()), (MODE_TRAIN, Graph(MODE_TRAIN))):
+        with graph:
+            with pytest.raises(NumericsError, match="features"):
+                model.forward(scene, mode)
+            with pytest.raises(NumericsError, match="features"):
+                model.forward_batch([{"a": good, "b": good}, scene], mode)

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -69,6 +70,14 @@ def test_matmul_identity():
 def test_matmul_by_hand():
     out = matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
     npt.assert_array_equal(out.data, [[11.0]])
+
+
+def test_reshape_counts_elements_exactly():
+    npt.assert_array_equal(reshape(Tensor(np.arange(6.0)), (3, 2)).data, [[0, 1], [2, 3], [4, 5]])
+    with pytest.raises(ShapeError):
+        reshape(Tensor(np.zeros(4)), (-2, -2))  # negative dims multiply to the size
+    with pytest.raises(ShapeError):
+        reshape(Tensor(np.zeros(0)), (2**32, 2**32))  # wraps to 0 in int64
 
 
 def test_matmul_shape_errors():
@@ -365,12 +374,12 @@ def test_backward_requires_recorded_history():
         sum_all(Tensor(np.ones(2), requires_grad=True)).backward()
 
 
-def test_inference_graph_records_nothing():
-    # every op in tensor.py, each called once: no node in infer mode, one in train mode
+def _every_op(wrap):
+    """Every op in tensor.py, each as a thunk on fixed operands passed through wrap."""
     rng = _rng(14)
-    x, y = Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal((3, 4)))
-    row, square = Tensor(rng.standard_normal(4)), Tensor(rng.standard_normal((4, 4)))
-    ops = {
+    x, y = wrap(rng.standard_normal((3, 4))), wrap(rng.standard_normal((3, 4)))
+    row, square = wrap(rng.standard_normal(4)), wrap(rng.standard_normal((4, 4)))
+    return {
         "add": lambda: add(x, y),
         "bias add": lambda: add(x, row),
         "scalar mul": lambda: mul(x, 2.0),
@@ -386,16 +395,40 @@ def test_inference_graph_records_nothing():
         "softmax_rows": lambda: softmax_rows(x),
         "layer_norm": lambda: layer_norm(x, row, row),
         # the op's own mode is train; only the graph decides whether it records
-        "dropout": lambda: dropout(x, 0.5, MODE_TRAIN, rng),
+        "dropout": lambda: dropout(x, 0.5, MODE_TRAIN, _rng(15)),
         "weighted_cross_entropy": lambda: weighted_cross_entropy([(x, [0, 1, 3], 1.0)])[0],
     }
-    for name, op in ops.items():
+
+
+def test_inference_graph_records_nothing():
+    # each op called once: no node in infer mode, one in train mode
+    for name, op in _every_op(Tensor).items():
         with Graph(MODE_INFER) as g:
             out = op()
         assert g.nodes == [] and out._graph is None, name
         with Graph(MODE_TRAIN) as g:
             out = op()
             assert len(g.nodes) == 1 and out._graph is g and out._node_id == 0, name
+
+
+def test_array_operands_compute_untaped_with_the_same_bits(monkeypatch):
+    taped = {name: op().data for name, op in _every_op(Tensor).items()}
+    arrays = _every_op(np.asarray)
+    with Graph(MODE_TRAIN) as g:  # a recording graph tapes array operands as before
+        for name, op in arrays.items():
+            out = op()
+            assert out._graph is g and np.array_equal(out.data, taped[name]), name
+
+    def no_tape(*args):
+        raise AssertionError("an untaped op called _result")
+
+    monkeypatch.setattr(tensor_module, "_result", no_tape)
+    del arrays["weighted_cross_entropy"]  # the loss ops always tape
+    for graph in (None, Graph(MODE_INFER)):
+        with graph or contextlib.nullcontext():
+            for name, op in arrays.items():
+                out = op()
+                assert type(out) is np.ndarray and np.array_equal(out, taped[name]), name
 
 
 def test_shared_subexpression_gradient():
