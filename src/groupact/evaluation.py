@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import ParseError, UsageError
 from .fileio import atomic_write_text, f17, read_text
-from .model import branch_inputs, predict
+# branch_inputs stays bound here, where perfbench/spans.py wraps it
+from .model import SceneBatch, branch_inputs, predict  # noqa: F401
 from .tensor import MODE_INFER
 
 SUMMARY_FILE = "summary.csv"
@@ -60,7 +61,7 @@ def evaluate_model(model, scenes, num_actions: int, num_activities: int) -> Eval
     action_conf = np.zeros((num_actions, num_actions), dtype=np.int64)
     for start in range(0, len(scenes), EVAL_CHUNK):
         chunk = scenes[start:start + EVAL_CHUNK]
-        groups, actions = predict(model.forward_batch([branch_inputs(s) for s in chunk], MODE_INFER))
+        groups, actions = predict(model.forward_batch(SceneBatch(chunk), MODE_INFER))
         np.add.at(group_conf, ([scene.activity for scene in chunk], groups), 1)
         np.add.at(action_conf, (np.concatenate([scene.actions for scene in chunk]), actions), 1)
     return EvalReport(len(scenes), group_conf, action_conf)

@@ -13,12 +13,18 @@ per-branch class probabilities with fixed weights.
 Every model runs a minibatch as one forward pass (forward_batch): the
 actors of all scenes are packed into one row matrix, and only attention and
 set pooling look at the scene boundaries. forward(inputs) is the batch of
-one. A pass starts from the packed feature arrays: outside a recording
-Graph every op on them runs untaped (see tensor), and only the outputs are
-wrapped as Tensors. A pass raises NumericsError when its input features or
-its logits are not finite.
-Late fusion, too, packs a batch once for all its members, and branches that
-read the same centers share one position-code table per forward pass.
+one. A batch is a sequence of {branch: BranchInput} mappings, or a
+SceneBatch of scenes, which pack_inputs packs straight from the scenes'
+arrays; training and evaluation pass SceneBatches. Either way pack_inputs
+checks the batch once, on the packed arrays.
+
+A pass starts from the packed feature arrays: outside a recording Graph
+every op on them runs untaped (see tensor), and only the outputs are
+wrapped as Tensors; a recording pass hands its first op the features as a
+Tensor. A pass raises NumericsError when its input features or its logits
+are not finite. Late fusion, too, packs a batch once for all its members,
+and branches that read the same centers share one position-code table per
+forward pass.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from .tensor import (
     matmul,
     max_over_sets,
     mul,
+    recording,
     reshape,
     softmax_rows,
     unbox,
@@ -161,42 +168,83 @@ def predict(pred: Prediction):
 def pack_inputs(batch: Sequence[Mapping[str, BranchInput]], feature_dims: Mapping[str, int]):
     """Stack the scenes' inputs of each branch into one packed BranchInput.
 
-    Returns ({branch: BranchInput over all actors}, per-scene actor counts).
-    Every scene must carry every branch in feature_dims, with that width and
-    one actor count across its branches, and every box center must lie in
+    batch holds {branch: BranchInput} mappings, or is a SceneBatch, whose
+    scenes' own arrays are packed with no BranchInput per scene. Returns
+    ({branch: BranchInput over all actors}, per-scene actor counts). Every
+    scene must carry every branch in feature_dims, with that width and one
+    actor count across its branches, and every box center must lie in
     [0, 1]. This is the one place a model checks its input centers; every
-    forward and forward_batch goes through it. Branches whose scenes hold the
-    same centers arrays share one packed centers array, checked once. A batch
-    of one is its own packing: its inputs are returned, not copied.
+    forward and forward_batch goes through it. The checks run once per
+    batch, on the packed arrays and the per-scene row counts; when one
+    fails, the scenes are checked one by one as mappings, so a SceneBatch
+    raises what pack_inputs over its branch_inputs raises. Branches whose
+    scenes hold the same centers arrays share one packed centers array,
+    checked once. A batch of one is its own packing: its arrays are not
+    copied.
     """
     if not batch:
         raise DataError("a batch needs at least one scene")
-    sizes = []
-    for inputs in batch:
-        missing = [b for b in feature_dims if b not in inputs]
-        if missing:
-            raise DataError(f"scene is missing branches {missing}, has {sorted(inputs)}")
-        n = None
-        for b, dim in feature_dims.items():
-            feats = inputs[b].features
-            if feats.shape[1] != dim:
-                raise ShapeError(f"branch {b!r} expects feature_dim {dim}, got {feats.shape[1]}")
-            if n is not None and feats.shape[0] != n:
-                raise ShapeError(f"branch {b!r} has {feats.shape[0]} actors, expected {n}")
-            n = feats.shape[0]
-        sizes.append(n)
-    one = len(batch) == 1
-    packed, packed_centers = {}, {}
+    packed = _pack(batch, feature_dims)
+    if packed is None:
+        batch = list(batch)  # a SceneBatch's branch_inputs: BranchInput checks each scene
+        for inputs in batch:
+            missing = [b for b in feature_dims if b not in inputs]
+            if missing:
+                raise DataError(f"scene is missing branches {missing}, has {sorted(inputs)}")
+            n = None
+            for b, dim in feature_dims.items():
+                feats = inputs[b].features
+                if feats.shape[1] != dim:
+                    raise ShapeError(f"branch {b!r} expects feature_dim {dim}, got {feats.shape[1]}")
+                if n is not None and feats.shape[0] != n:
+                    raise ShapeError(f"branch {b!r} has {feats.shape[0]} actors, expected {n}")
+                n = feats.shape[0]
+        packed = _pack(batch, feature_dims)  # mappings that pass those checks pack
+    inputs, sizes = packed
+    checked_centers = set()
     for b in feature_dims:
-        parts = [inputs[b].centers for inputs in batch]
-        key = tuple(map(id, parts))  # batch keeps every part alive, so ids are unique
-        if key not in packed_centers:
-            centers = packed_centers[key] = parts[0] if one else np.concatenate(parts)
+        centers = inputs[b].centers
+        if id(centers) not in checked_centers:
+            checked_centers.add(id(centers))
             if not (centers.min() >= 0.0 and centers.max() <= 1.0):  # a NaN fails it too
                 x, y = centers[~((centers >= 0.0) & (centers <= 1.0)).all(axis=1)][0]
                 raise DataError(f"branch {b!r}: box center out of [0, 1]: ({x}, {y})")
-        packed[b] = batch[0][b] if one else BranchInput(
-            np.concatenate([inputs[b].features for inputs in batch]), packed_centers[key])
+    return inputs, sizes
+
+
+def _joined(arrays) -> np.ndarray:
+    """The scenes' arrays one after another as one float64 array; one array is its own."""
+    if len(arrays) == 1:
+        return np.ascontiguousarray(arrays[0], dtype=np.float64)
+    return np.concatenate(arrays, dtype=np.float64)
+
+
+def _pack(batch, feature_dims):
+    """pack_inputs' packing and its shape checks: ({branch: BranchInput},
+    sizes), or None when a scene lacks a branch or an array has the wrong
+    shape. Each check runs once per batch: a packed array of the right
+    shape and the lists of per-scene row counts cover every scene."""
+    scenes = batch.scenes if isinstance(batch, SceneBatch) else None
+    sizes, packed, by_parts = None, {}, {}
+    try:
+        for b, dim in feature_dims.items():
+            if scenes is None:
+                parts = [inputs[b] for inputs in batch]
+                feats, centers = [p.features for p in parts], [p.centers for p in parts]
+            else:
+                feats, centers = [s.features[b] for s in scenes], [s.centers for s in scenes]
+            key = tuple(map(id, centers))  # batch keeps every part alive, so ids are unique
+            rows = list(map(len, feats))
+            f = _joined(feats)
+            c = by_parts[key] if key in by_parts else _joined(centers)
+            if (f.ndim != 2 or f.shape[1] != dim or c.shape != (f.shape[0], 2) or min(rows) < 1
+                    or (sizes is not None and rows != sizes) or list(map(len, centers)) != rows):
+                return None
+            sizes, by_parts[key] = rows, c
+            # one mapping's BranchInput already holds the arrays packing makes
+            packed[b] = parts[0] if scenes is None and len(parts) == 1 else BranchInput(f, c)
+    except (KeyError, TypeError, ValueError):  # no such branch, a 0-d array, ndims that differ
+        return None
     return packed, tuple(sizes)
 
 
@@ -215,11 +263,12 @@ def one_scene(pred: Prediction) -> Prediction:
                       None if pred.attention is None else pred.attention[0])
 
 
-def _checked_features(features: np.ndarray) -> np.ndarray:
-    """features, which a pass starts from, after the check Tensor() would make."""
+def _checked_features(features: np.ndarray):
+    """features, which a pass starts from, after the check Tensor() would make.
+    A recording pass gets them as a Tensor, so its first op checks nothing again."""
     if not np.isfinite(features).all():
         raise NumericsError("non-finite actor features")
-    return features
+    return Tensor(features, _check=False) if recording() else features
 
 
 def embed(features: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -463,3 +512,21 @@ class LateFusionModel:
 def branch_inputs(scene) -> dict:
     """View a generated scene as the per-branch inputs the models consume."""
     return {name: BranchInput(feats, scene.centers) for name, feats in scene.features.items()}
+
+
+class SceneBatch:
+    """Scenes (with .features and .centers, as ActorScene has them) as a batch
+    for forward_batch. pack_inputs packs it straight from the scenes' arrays;
+    read as a sequence, it holds each scene's branch_inputs."""
+
+    def __init__(self, scenes):
+        self.scenes = list(scenes)
+
+    def __len__(self):
+        return len(self.scenes)
+
+    def __getitem__(self, i: int):
+        return branch_inputs(self.scenes[i])
+
+    def __iter__(self):
+        return map(branch_inputs, self.scenes)

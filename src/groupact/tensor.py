@@ -202,14 +202,15 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def _recording() -> bool:
+def recording() -> bool:
+    """Whether ops called now record: a train-mode Graph is the innermost."""
     return bool(_GRAPH_STACK) and _GRAPH_STACK[-1].mode == MODE_TRAIN
 
 
 def _result(data, inputs, vjp):
     """Wrap op output, unchecked; record a node iff a train-mode graph is active."""
     out = Tensor(data, _check=False)
-    if _recording():
+    if recording():
         graph = out._graph = _GRAPH_STACK[-1]
         out._node_id = len(graph.nodes)
         graph.nodes.append((inputs, vjp))
@@ -225,7 +226,7 @@ def _operands(*xs):
     is None and arrays hold the ndarrays and Tensor data; else every operand
     becomes a Tensor, as Tensor() makes them, and tape lists those to record."""
     arrays = []  # loops: on Python 3.11 a comprehension costs a call per op
-    if xs and type(xs[0]) is np.ndarray and not _recording():
+    if xs and type(xs[0]) is np.ndarray and not recording():
         for x in xs:
             arrays.append(x.data if isinstance(x, Tensor) else x)
         return arrays, None
@@ -238,7 +239,7 @@ def _operands(*xs):
 
 def unbox(t):
     """t's data while no train-mode Graph records, so the ops on it run untaped; else t."""
-    return t.data if isinstance(t, Tensor) and not _recording() else t
+    return t.data if isinstance(t, Tensor) and not recording() else t
 
 
 def box(x) -> Tensor:
@@ -300,9 +301,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = ad @ bd
     if tape is None:
         return out
+    # backward drops a gradient for an operand that is neither a parameter nor
+    # a tape node (such as a pass's input features), so it is not computed
+    a_grad = tape[0].requires_grad or tape[0]._node_id is not None
 
     def vjp(g):
-        return (g @ bd.T, ad.T @ g)
+        return (g @ bd.T if a_grad else None, ad.T @ g)
 
     return _result(out, tape, vjp)
 
@@ -452,7 +456,9 @@ def max_over_sets(a: Tensor, sizes=None) -> Tensor:
 
     Permutation-invariant pooling over sets of actor embeddings. The
     gradient flows only to the winning row per set and column; ties break
-    toward the lowest row index.
+    toward the lowest row index. Untaped, it takes each set's max without
+    finding the winners, except where a max is zero: np.max may return 0.0
+    where a lower row holds -0.0, and the winners keep the lowest row's sign.
     """
     (ad,), tape = _operands(a)
     if ad.ndim != 2:
@@ -460,7 +466,12 @@ def max_over_sets(a: Tensor, sizes=None) -> Tensor:
     if ad.shape[0] == 0:
         raise EmptySetError("max_over_sets: empty set")
     layout = SetLayout.of(sizes, ad.shape[0])
-    slots = np.argmax(layout.pad(ad, -np.inf), axis=1)  # first max wins ties
+    padded = layout.pad(ad, -np.inf)
+    if tape is None:
+        out = padded.max(axis=1)
+        if out.all():
+            return out
+    slots = np.argmax(padded, axis=1)  # first max wins ties
     winners = layout.offsets[:, None] + slots
     cols = np.arange(ad.shape[1])
     out = ad[winners, cols]
@@ -660,8 +671,8 @@ def weighted_cross_entropy(parts):
 
     parts is a sequence of (logits, labels, weights): (m, c) logits, m int
     class ids and m row weights (or one weight for every row). Returns the
-    0-d tensor sum over parts and rows of weight * CE(row), and for each part
-    the unweighted per-row CE values as a plain array.
+    sum over parts and rows of weight * CE(row), as a tensor of shape (1,),
+    and for each part the unweighted per-row CE values as a plain array.
     """
     tensors, rows_ce, grads = [], [], []
     loss = 0.0
@@ -689,7 +700,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean softmax cross entropy over rows, via log-sum-exp.
 
     labels is a length-m sequence of int class ids for an (m, c) logits
-    tensor. Returns a 0-d tensor.
+    tensor. Returns a tensor of shape (1,).
     """
     logits = _as_tensor(logits)
     m = logits.shape[0] if logits.ndim == 2 else 0

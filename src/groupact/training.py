@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericsError, ParseError, TrainingDiverged, UsageError
 from .fileio import atomic_write_text, f17, read_text
-from .model import Prediction, branch_inputs
+# branch_inputs stays bound here, where perfbench/spans.py wraps it
+from .model import Prediction, SceneBatch, branch_inputs  # noqa: F401
 from .seeding import DROPOUT, SHUFFLE, rng_for
 from .tensor import MODE_TRAIN, DropoutDraws, Graph, Tensor, reshape, weighted_cross_entropy
 from .transformer import dropout_widths
@@ -328,8 +329,7 @@ def train(model, scenes, cfg: TrainConfig, *, start_iteration: int = 0, optimize
         draws = DropoutDraws(dropout_rng, [scene.n_actors for scene in batch], widths)
         try:
             with Graph(MODE_TRAIN):
-                pred = model.forward_batch([branch_inputs(scene) for scene in batch],
-                                           MODE_TRAIN, draws)
+                pred = model.forward_batch(SceneBatch(batch), MODE_TRAIN, draws)
                 loss, ce_g, ce_a = loss_terms(
                     pred, [scene.activity for scene in batch],
                     np.concatenate([scene.actions for scene in batch]),

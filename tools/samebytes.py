@@ -10,7 +10,10 @@ then run one fixed list of CLI scenarios, each tree from its own `src/`:
   two-cell ablate grid;
 - each benchmark workload config (`perfbench/workloads.py`) at its CLI round
   trip's size: generate, train, evaluate, attention-dump and a two-cell
-  ablate grid.
+  ablate grid;
+- the ragged fusion workload config with a test split of 120 scenes of 3-16
+  actors: generate, train and evaluate, so that evaluation runs more than
+  one packed chunk of scenes.
 
 Every output file is compared byte for byte. The script prints the numpy
 version and the BLAS kernel it ran on, since another kernel rounds
@@ -101,6 +104,13 @@ def _scenarios():
             ("attention-dump", "", "run", "attention"),
             ("ablate", grid, None, "grid"),
         ]))
+    ragged = WORKLOADS["train-ragged-fusion"].config
+    out.append(("ragged-eval", ragged + data + "scene_count = 480\ntrain_fraction = 0.75\n"
+                "total_iterations = 4\nseed = 1\n", [
+                    ("generate", "", None, "data"),
+                    ("train", "", None, "run"),
+                    ("evaluate", "", "run", "run/eval"),
+                ]))
     return out
 
 
