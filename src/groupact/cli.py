@@ -9,6 +9,7 @@ renamed, and every command is deterministic under a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 from pathlib import Path
@@ -242,7 +243,10 @@ def cmd_attention_dump(cfg: RunConfig, out_dir: Path, checkpoint: Path) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later
+    main() call in the process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="groupact",
         description="Generate synthetic actor scenes, train and probe actor-set transformers.",
@@ -254,7 +258,11 @@ def main(argv=None) -> int:
         p.add_argument("--out", type=Path, required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--checkpoint", type=Path, default=None, help="model checkpoint path")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed

@@ -13,10 +13,12 @@ Container layout, all integers little-endian:
 
 from __future__ import annotations
 
+import io
+import itertools
 import math
 import os
+import secrets
 import struct
-import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -25,6 +27,9 @@ import numpy as np
 from .errors import ParseError, ShapeError
 
 _U32 = struct.Struct("<I")
+# a new file, never an existing one; O_BINARY keeps Windows from translating bytes
+_CREATE = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+_END = object()  # what next() gives for an exhausted iterator of chunks
 
 # metadata value type -> (encode, decode). A value is read only from the one
 # text its encoder writes, so a file loads only as what a save would write.
@@ -54,18 +59,22 @@ def atomic_writer(path, buffer_bytes: int = -1):
 
     It is a fresh temp file beside path, renamed into place on success, so
     readers never observe a partially written file and a crash leaves the
-    previous version (or nothing) behind. Every write has its own temp name,
-    so writers to one path do not collide; a failed write removes it.
-    buffer_bytes sizes the file's write buffer (-1: Python's default).
+    previous version (or nothing) behind. Every write has its own random temp
+    name, so writers to one path do not collide; a failed write removes it.
+    The temp file is created with mode 0o666 and the kernel applies the
+    umask, as open() would. buffer_bytes sizes the file's write buffer (-1:
+    Python's default).
     """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    while True:
+        tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+        try:
+            fd = os.open(tmp, _CREATE, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "wb", buffer_bytes) as f:
-            umask = os.umask(0)
-            os.umask(umask)
-            # mkstemp creates the file 0600; give it the mode open() would
-            os.fchmod(f.fileno(), 0o666 & ~umask)
             yield f
         os.replace(tmp, path)
     except BaseException:
@@ -127,31 +136,69 @@ def _string(text) -> bytes:
     return _U32.pack(len(data)) + data
 
 
+def _write_record(f, name, shape, chunks, block_bytes: int) -> int:
+    """Write one record's chunks to f as write_container describes; returns
+    the bytes written. Row blocks are joined into blocks of at most
+    block_bytes, or of one chunk where that chunk is larger."""
+    chunks = iter(chunks)
+    first, second = next(chunks, _END), next(chunks, _END)
+    if second is _END:
+        # tobytes, not the array's buffer: exporting a buffer leaves numpy's
+        # cached buffer info on the caller's array
+        return 0 if first is _END else f.write(np.asarray(first, dtype="<f8").tobytes())
+    trailing = tuple(shape[1:])
+    bad = (f"record {name!r}: chunks are not row blocks of shape "
+           f"({', '.join(['n', *map(str, trailing)])})")
+    most = max(block_bytes // (8 * math.prod(trailing) or 1), 1)  # rows per block
+
+    def write(group):
+        try:
+            block = np.concatenate(group, dtype="<f8")
+        except ValueError:
+            raise ShapeError(bad) from None
+        if block.shape[1:] != trailing:
+            raise ShapeError(bad)
+        # a fresh array, so its own buffer is written without a copy
+        return f.write(block)
+
+    group, rows, written = [], 0, 0
+    for chunk in itertools.chain((first, second), chunks):
+        try:
+            n = len(chunk)
+        except TypeError:  # a 0-d chunk
+            raise ShapeError(bad) from None
+        if group and rows + n > most:
+            written += write(group)
+            group, rows = [], 0
+        group.append(chunk)
+        rows += n
+    return written + write(group)
+
+
 def write_container(path, magic: bytes, version: int, meta: dict, records,
                     buffer_bytes: int = -1) -> None:
     """Write a container through atomic_writer. records is a sequence of
     (name, shape, chunks): chunks is an iterable of arrays whose values, in
     order, fill a float64 array of that shape, so a record can be written a
-    piece at a time without ever being held whole. buffer_bytes sizes the
-    write buffer: a writer that holds its records anyway saves system calls
-    with a large one, and a streaming writer bounds its memory with a small one."""
+    piece at a time without ever being held whole. A record of one chunk
+    may give it any shape. The chunks of a record of several must be row
+    blocks, arrays of shape (n, *shape[1:]) for any n, else ShapeError; they
+    are written in blocks of at most buffer_bytes (of one chunk where a
+    chunk is larger), so a save holds one block and the buffer. buffer_bytes
+    sizes the write buffer: a writer that holds its records anyway saves
+    system calls with a large one, and a streaming writer bounds its memory
+    with a small one."""
     records = list(records)
     head = [magic, _U32.pack(version), _U32.pack(len(meta))]
     for key, value in meta.items():
         head += [_string(key), _string(value)]
     head.append(_U32.pack(len(records)))
+    block_bytes = buffer_bytes if buffer_bytes > 0 else io.DEFAULT_BUFFER_SIZE
     with atomic_writer(path, buffer_bytes) as f:
         f.write(b"".join(head))
         for name, shape, chunks in records:
             f.write(_string(name) + struct.pack(f"<I{len(shape)}Q", len(shape), *shape))
-            left = 8 * math.prod(shape)
-            for chunk in chunks:
-                # tobytes, not the array's buffer: exporting a buffer leaves
-                # numpy's cached buffer info on every chunk
-                data = np.asarray(chunk, dtype="<f8").tobytes()
-                f.write(data)
-                left -= len(data)
-            if left:
+            if _write_record(f, name, shape, chunks, block_bytes) != 8 * math.prod(shape):
                 raise ShapeError(f"record {name!r}: chunks do not fill shape {tuple(shape)}")
 
 

@@ -277,9 +277,12 @@ def save_dataset(ds: SceneDataset, path) -> None:
     the scenes, one record per field packed over all scenes in order:
     sizes (actors per scene), ids, activities, actions, centers and each
     branch's features. Integers are stored as float64, which holds them
-    exactly. Records are written scene by scene, so a save holds one
-    scene's bytes at a time, and two saves of equal datasets are
-    byte-identical.
+    exactly. Each scene's slice of a packed record is passed as one row
+    block, as write_container requires of a record of several chunks:
+    actions (n,), centers (n, 2), features (n, dim). write_container joins
+    consecutive blocks into writes of at most the 32 KiB buffer, so beyond
+    the dataset a save holds one such write (one scene, when a scene is
+    larger). Two saves of equal datasets are byte-identical.
     """
     cfg, scenes = ds.config, ds.scenes
     names = cfg.branch_names
@@ -301,7 +304,7 @@ def save_dataset(ds: SceneDataset, path) -> None:
                 ("centers", (rows, 2), (s.centers for s in scenes))]
     records += [(f"features/{b}", (rows, cfg.branch_dims[b]), branch_rows(b)) for b in names]
     # a 32 KiB buffer: fewer system calls than the default, and still a few
-    # scenes' bytes
+    # scenes' bytes per block
     write_container(path, MAGIC, VERSION, meta, records, buffer_bytes=1 << 15)
 
 

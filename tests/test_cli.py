@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from groupact.checkpoint import load_model
-from groupact.cli import main
+from groupact.cli import _parser, main
 from groupact.evaluation import read_report
 from groupact.scenes import load_dataset
 from groupact.training import LossCurve
@@ -61,6 +61,26 @@ def test_generate_splits_and_reruns(tmp_path, capsys):
     again = _generate(tmp_path, out="data2")
     assert (data / "train.scenes").read_bytes() == (again / "train.scenes").read_bytes()
     assert (data / "test.scenes").read_bytes() == (again / "test.scenes").read_bytes()
+
+
+def test_each_main_call_parses_its_own_arguments(tmp_path, capsys):
+    # one parser serves every call in a process; no call's options reach the
+    # next, also after a call whose arguments fail
+    cfg = str(_write_cfg(tmp_path, "gen.cfg"))
+    out = tmp_path / "seeded"
+    assert main(["generate", "--config", cfg, "--out", str(out), "--seed", "5"]) == 0
+    with pytest.raises(SystemExit) as info:
+        main(["generate", "--config", cfg, "--seed", "x"])
+    assert info.value.code == 2
+    assert main(["evaluate", "--config", cfg, "--out", str(tmp_path / "e"),
+                 "--checkpoint", str(tmp_path / "missing.ckpt")]) == 1
+    assert "missing.ckpt" in capsys.readouterr().err
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "plain")]) == 0
+    assert main(["evaluate", "--config", cfg, "--out", str(tmp_path / "e")]) == 1
+    assert "evaluate needs --checkpoint" in capsys.readouterr().err
+    assert load_dataset(out / "test.scenes").config.seed == 5
+    assert load_dataset(tmp_path / "plain" / "test.scenes").config.seed == 0
+    assert _parser() is _parser()
 
 
 def test_generate_seed_override_changes_data(tmp_path):

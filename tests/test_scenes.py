@@ -390,7 +390,9 @@ THREE_BRANCHES = dict(rule="majority-action", num_actions=8, num_activities=8, n
             n_actors=(1, 9), seed=25),
     _cc_cfg(n_actors=1, seed=26),
     SceneConfig(**THREE_BRANCHES, seed=27),
-], ids=["ragged", "one-actor", "three-branches"])
+    # records of many 32 KiB blocks, and scenes of up to 75 KiB of features
+    _vb_cfg(n_actors=(1, 600), seed=29),
+], ids=["ragged", "one-actor", "three-branches", "multi-block"])
 def test_save_writes_the_whole_text_join(tmp_path, cfg):
     # v3's whole join: the scene-by-scene save writes the bytes of one
     # write_container of every record packed over all scenes

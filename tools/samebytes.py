@@ -13,7 +13,10 @@ then run one fixed list of CLI scenarios, each tree from its own `src/`:
   ablate grid;
 - the ragged fusion workload config with a test split of 120 scenes of 3-16
   actors: generate, train and evaluate, so that evaluation runs more than
-  one packed chunk of scenes.
+  one packed chunk of scenes;
+- the quick start with 12 scenes of 300-600 actors: generate only, so that
+  each dataset record spans several 32 KiB write blocks and every scene's
+  features are larger than one block.
 
 Every output file is compared byte for byte. The script prints the numpy
 version and the BLAS kernel it ran on, since another kernel rounds
@@ -111,6 +114,9 @@ def _scenarios():
                     ("train", "", None, "run"),
                     ("evaluate", "", "run", "run/eval"),
                 ]))
+    out.append(("large-scenes", QUICKSTART.replace("n_actors = 12", "n_actors = 300-600")
+                .replace("scene_count = 200", "scene_count = 12") + data,
+                [("generate", "", None, "data")]))
     return out
 
 
