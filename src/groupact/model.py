@@ -23,14 +23,20 @@ every op on them runs untaped (see tensor), and only the outputs are
 wrapped as Tensors; a recording pass hands its first op the features as a
 Tensor. A pass raises NumericsError when its input features or its logits
 are not finite. Late fusion, too, packs a batch once for all its members,
-and branches that read the same centers share one position-code table per
-forward pass.
+and runs each run of consecutive members (in branch order) whose configs
+differ at most in feature_dim as one grouped pass: each member embeds its
+own features, and the embeddings and the weights past them are stacked
+over the group (see tensor). Its outputs, attention, gradients and dropout
+masks are the bits of running the members one by one. Branches that read
+the same centers share one position-code table per forward pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from types import SimpleNamespace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -39,6 +45,8 @@ from .errors import ConfigError, DataError, NumericsError, ShapeError
 from .posenc import apply_pe
 from .tensor import (
     MODE_INFER,
+    MODE_TRAIN,
+    DropoutDraws,
     SetLayout,
     Tensor,
     add,
@@ -46,13 +54,14 @@ from .tensor import (
     concat_last_dim,
     matmul,
     max_over_sets,
-    mul,
     recording,
     reshape,
     softmax_rows,
+    stack,
     unbox,
+    weighted_sum,
 )
-from .transformer import EncoderConfig, EncoderWeights, encode, xavier_uniform
+from .transformer import EncoderConfig, EncoderWeights, dropout_widths, encode, xavier_uniform
 
 PE_POST_EMBED = "post-embed"
 PE_PRE_EMBED = "pre-embed"
@@ -315,6 +324,19 @@ def _read_out(x: Tensor, w, layout: SetLayout, mode, rng, record_attention, cent
                       tuple(layout.sizes.tolist()))
 
 
+def _embedded(inp: BranchInput, w: BranchWeights, codes) -> Tensor:
+    """A branch's embedded actor rows, with its position codes added before or
+    after the embedding as its config says. codes: see apply_pe."""
+    cfg = w.cfg
+    x = _checked_features(inp.features)
+    if cfg.use_pe and cfg.pe_stage == PE_PRE_EMBED:
+        x = apply_pe(x, inp.centers, cfg.pe_scale, codes)
+    x = embed(x, w.embed_w, w.embed_b)
+    if cfg.use_pe and cfg.pe_stage == PE_POST_EMBED:
+        x = apply_pe(x, inp.centers, cfg.pe_scale, codes)
+    return x
+
+
 def forward_branch(inp: BranchInput, w: BranchWeights, mode=MODE_INFER, rng=None,
                    record_attention=False, sizes=None, codes=None) -> Prediction:
     """One branch's forward pass. With sizes, inp packs that many scenes'
@@ -329,12 +351,32 @@ def forward_branch(inp: BranchInput, w: BranchWeights, mode=MODE_INFER, rng=None
         return one_scene(forward_branch(inp, w, mode, rng, record_attention,
                                         (inp.features.shape[0],), codes))
     layout = SetLayout.of(sizes, inp.features.shape[0])
-    x = _checked_features(inp.features)
-    if cfg.use_pe and cfg.pe_stage == PE_PRE_EMBED:
-        x = apply_pe(x, inp.centers, cfg.pe_scale, codes)
-    post_embed = cfg.use_pe and cfg.pe_stage == PE_POST_EMBED
-    return _read_out(embed(x, w.embed_w, w.embed_b), w, layout, mode, rng, record_attention,
-                     inp.centers if post_embed else None, codes)
+    return _read_out(_embedded(inp, w, codes), w, layout, mode, rng, record_attention)
+
+
+def _stacked(members) -> SimpleNamespace:
+    """BranchWeights of one config apart from feature_dim as one object of the
+    same names, whose every weight past the embedding is stacked over the
+    members: the weights of a grouped pass."""
+    data = not recording()  # an untaped pass stacks the weights' arrays
+
+    def stacked(tensors):
+        return stack([t.data for t in tensors] if data else tensors)
+
+    def layer(layers):  # EncoderLayerWeights: per-head lists of tensors, and tensors
+        out = SimpleNamespace()
+        for name, first in vars(layers[0]).items():
+            parts = [vars(w)[name] for w in layers]
+            setattr(out, name, [stacked(heads) for heads in zip(*parts)]
+                    if isinstance(first, list) else stacked(parts))
+        return out
+
+    first = members[0]
+    encoder = None if first.encoder is None else SimpleNamespace(
+        cfg=first.encoder.cfg, layers=list(map(layer, zip(*(m.encoder.layers for m in members)))))
+    return SimpleNamespace(cfg=first.cfg, encoder=encoder,
+                           action_w=stacked([m.action_w for m in members]),
+                           activity_w=stacked([m.activity_w for m in members]))
 
 
 class BranchModel:
@@ -453,6 +495,8 @@ class LateFusionModel:
 
     Each branch keeps its own fully trained model; this wrapper softmaxes
     every branch's logits and sums them with the normalised mixing weights.
+    groups lists the runs of consecutive branches whose configs differ at
+    most in feature_dim; a pass runs each group as one grouped pass.
     """
 
     kind = "late"
@@ -475,6 +519,8 @@ class LateFusionModel:
                 raise ConfigError(f"fusion weight for {b!r} must be finite and positive, got {raw[b]}")
         total = sum(raw[b] for b in self.branches)
         self.weights = {b: raw[b] / total for b in self.branches}
+        self.groups = [list(group) for _, group in groupby(
+            self.branches, lambda b: {**vars(self.models[b].cfg), "feature_dim": None})]
 
     def forward(self, inputs: Mapping[str, BranchInput], mode=MODE_INFER, rng=None,
                 record_attention=False) -> Prediction:
@@ -483,23 +529,29 @@ class LateFusionModel:
     def forward_batch(self, batch: Sequence[Mapping[str, BranchInput]], mode=MODE_INFER,
                       rng=None, record_attention=False) -> Prediction:
         packed, sizes = pack_inputs(batch, {b: self.models[b].cfg.feature_dim for b in self.branches})
-        layout, codes = SetLayout.of(sizes, sum(sizes)), {}
+        rows, codes = sum(sizes), {}
         action_mix = activity_mix = None
-        recs = {}
-        for b in self.branches:
-            pred = checked(forward_branch(packed[b], self.models[b].weights, mode, rng,
-                                          record_attention, layout, codes))
-            wgt = self.weights[b]
-            act = mul(softmax_rows(unbox(pred.action_logits)), wgt)
-            grp = mul(softmax_rows(unbox(pred.activity_logits)), wgt)
-            action_mix = act if action_mix is None else add(action_mix, act)
-            activity_mix = grp if activity_mix is None else add(activity_mix, grp)
-            recs[b] = pred.attention
-        attention = None
-        if record_attention:
-            attention = [{b: None if recs[b] is None else recs[b][i] for b in self.branches}
-                         for i in range(len(sizes))]
-        # every branch's logits passed checked(); mixing their softmaxes stays finite
+        attention = [{} for _ in sizes] if record_attention else None
+        for group in self.groups:
+            members = [self.models[b].weights for b in group]
+            w = _stacked(members)
+            x = stack([_embedded(packed[b], m, codes) for b, m in zip(group, members)])
+            draws = rng
+            if mode == MODE_TRAIN and isinstance(rng, np.random.Generator):
+                # one member's masks after another's, as their own passes draw them
+                draws = DropoutDraws(rng, [rows] * len(group), dropout_widths(w.encoder))
+            layout = SetLayout.of(sizes * len(group), rows * len(group))
+            pred = checked(_read_out(x, w, layout, mode, draws, record_attention))
+            wgts = [self.weights[b] for b in group]
+            action_mix = weighted_sum(softmax_rows(unbox(pred.action_logits)), wgts, action_mix)
+            activity_mix = weighted_sum(softmax_rows(unbox(pred.activity_logits)), wgts,
+                                        activity_mix)
+            if record_attention:  # the group's records, member after member
+                recs = pred.attention or [None] * (len(group) * len(sizes))  # None: no encoder
+                for j, b in enumerate(group):
+                    for scene, rec in zip(attention, recs[j * len(sizes):]):
+                        scene[b] = rec
+        # every group's logits passed checked(); mixing their softmaxes stays finite
         return Prediction(box(action_mix), box(activity_mix), attention, sizes)
 
     def parameters(self):

@@ -262,11 +262,12 @@ _EXACT = 2**53 - 1  # above this, a float64 may stand for two integers
 _BIG = np.finfo(np.float64).max
 
 
-def _column(scenes, attr):
-    """One float64 chunk of every scene's attr, built when the writer gets to it."""
-    col = np.fromiter((getattr(s, attr) for s in scenes), np.float64, len(scenes))
+def _column(name, values):
+    """One float64 chunk of the scenes' values of field name, listed by
+    values() when the writer gets to it."""
+    col = np.array(values(), dtype=np.float64)
     if col.size and max(col.max(), -col.min()) > _EXACT:
-        raise DataError(f"a scene's {attr} is too large to store exactly")
+        raise DataError(f"a scene's {name} is too large to store exactly")
     yield col
 
 
@@ -297,9 +298,11 @@ def save_dataset(ds: SceneDataset, path) -> None:
 
     records = [(f"prototypes/{b}", np.shape(ds.prototypes[b]), (ds.prototypes[b],))
                for b in names]
-    records += [(name, (len(scenes),), _column(scenes, attr))
-                for name, attr in (("sizes", "n_actors"), ("ids", "scene_id"),
-                                   ("activities", "activity"))]
+    # n_actors is len(actions) without the property's call
+    records += [(name, (len(scenes),), _column(field, values)) for name, field, values in (
+        ("sizes", "n_actors", lambda: [len(s.actions) for s in scenes]),
+        ("ids", "scene_id", lambda: [s.scene_id for s in scenes]),
+        ("activities", "activity", lambda: [s.activity for s in scenes]))]
     records += [("actions", (rows,), (s.actions for s in scenes)),
                 ("centers", (rows, 2), (s.centers for s in scenes))]
     records += [(f"features/{b}", (rows, cfg.branch_dims[b]), branch_rows(b)) for b in names]

@@ -13,6 +13,13 @@ actors of scene 0, then scene 1, and so on (a SetLayout records the sizes).
 Row-wise ops need nothing more; set_attention and max_over_sets are the ops
 that work per set.
 
+A grouped pass runs G models of one shape side by side on the same batch:
+its rows are a (G, N, d) array, and each weight is stacked over the models
+into a (G, ...) tensor (see stack). matmul, add, layer_norm, softmax_rows
+and concat_last_dim work group by group; set_attention and max_over_sets
+see the G groups as G * B sets, so their layout is the batch's sizes tiled
+G times. Each group's values are the bits its model's own 2-d pass makes.
+
 An op whose first operand is a plain ndarray, called while no train-mode
 Graph records, computes untaped: it runs the same shape checks and
 expressions on the arrays as given (a Tensor operand gives its data) and
@@ -248,20 +255,21 @@ def box(x) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also accepts (m, n) + (n,) for a row-broadcast bias."""
+    """Elementwise sum; also accepts (m, n) + (n,) for a row-broadcast bias,
+    and (G, m, n) + (G, n) for one such bias per group."""
     (ad, bd), tape = _operands(a, b)
-    if ad.shape == bd.shape:
-        bias_rows = False
-    elif ad.ndim == 2 and bd.ndim == 1 and ad.shape[1] == bd.shape[0]:
-        bias_rows = True
+    bias_rows = ad.shape != bd.shape
+    if not bias_rows or (ad.ndim == 2 and bd.shape == ad.shape[1:]):
+        out = ad + bd
+    elif ad.ndim == 3 and bd.shape == (ad.shape[0], ad.shape[2]):
+        out = ad + bd[:, None]
     else:
         raise ShapeError(f"add: incompatible shapes {ad.shape} and {bd.shape}")
-    out = ad + bd
     if tape is None:
         return out
 
     def vjp(g):
-        return (g, g.sum(axis=0)) if bias_rows else (g, g)
+        return (g, g.sum(axis=-2)) if bias_rows else (g, g)
 
     return _result(out, tape, vjp)
 
@@ -293,10 +301,11 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """(m, k) @ (k, n), or (G, m, k) @ (G, k, n) group by group."""
     (ad, bd), tape = _operands(a, b)
-    if ad.ndim != 2 or bd.ndim != 2:
-        raise ShapeError(f"matmul: need 2-d operands, got {ad.shape} and {bd.shape}")
-    if ad.shape[1] != bd.shape[0]:
+    if ad.ndim != bd.ndim or ad.ndim not in (2, 3):
+        raise ShapeError(f"matmul: need 2-d or grouped 3-d operands, got {ad.shape} and {bd.shape}")
+    if ad.shape[-1] != bd.shape[-2] or (ad.ndim == 3 and ad.shape[0] != bd.shape[0]):
         raise ShapeError(f"matmul: inner dims disagree, {ad.shape} @ {bd.shape}")
     out = ad @ bd
     if tape is None:
@@ -306,7 +315,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     a_grad = tape[0].requires_grad or tape[0]._node_id is not None
 
     def vjp(g):
-        return (g @ bd.T if a_grad else None, ad.T @ g)
+        return (g @ bd.swapaxes(-1, -2) if a_grad else None, ad.swapaxes(-1, -2) @ g)
 
     return _result(out, tape, vjp)
 
@@ -369,25 +378,47 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def concat_last_dim(parts) -> Tensor:
-    """Concatenate 2-d tensors along columns. Backward splits the gradient."""
+    """Concatenate 2-d (or grouped 3-d) tensors along columns. Backward splits
+    the gradient."""
     arrays, tape = _operands(*parts)
     if not arrays:
         raise UsageError("concat_last_dim: no tensors given")
-    rows = arrays[0].shape[0] if arrays[0].ndim == 2 else None
+    rows = arrays[0].shape[:-1] if arrays[0].ndim in (2, 3) else None
     for p in arrays:
-        if p.ndim != 2 or p.shape[0] != rows:
+        if p.shape[:-1] != rows:
             raise ShapeError(
-                "concat_last_dim: all parts must be 2-d with equal row counts, got "
+                "concat_last_dim: all parts must be 2-d or 3-d with equal row counts, got "
                 + ", ".join(str(q.shape) for q in arrays)
             )
-    out = np.concatenate(arrays, axis=1)
+    out = np.concatenate(arrays, axis=-1)
     if tape is None:
         return out
 
     def vjp(g):
         # column views of g, one per part; np.split gives the same views 5-10x slower
-        edges = [0, *accumulate(p.shape[1] for p in arrays)]
-        return [g[:, a:b] for a, b in zip(edges, edges[1:])]
+        edges = [0, *accumulate(p.shape[-1] for p in arrays)]
+        return [g[..., a:b] for a, b in zip(edges, edges[1:])]
+
+    return _result(out, tape, vjp)
+
+
+def stack(parts) -> Tensor:
+    """G same-shape tensors as one (G, ...) tensor, part i at index i: the
+    members' weights or rows of a grouped pass. Backward gives each part its
+    slice of the gradient."""
+    arrays, tape = _operands(*parts)
+    if not arrays:
+        raise UsageError("stack: no tensors given")
+    try:
+        out = np.array(arrays)  # np.stack's result at a third of its cost
+    except ValueError:  # parts of different shapes
+        raise ShapeError("stack: need parts of one shape, got "
+                         + ", ".join(str(p.shape) for p in arrays)) from None
+    if tape is None:
+        return out
+
+    def vjp(g):
+        return list(g)
 
     return _result(out, tape, vjp)
 
@@ -422,9 +453,11 @@ class SetLayout:
     @staticmethod
     def of(sizes, rows: int) -> "SetLayout":
         """sizes as a SetLayout (None: the rows form one set), checked against rows.
-        Every one-set layout of a row count is one shared object."""
-        if sizes is None or (type(sizes) is tuple and sizes == (rows,)):
-            sizes = _one_set(rows)
+        Every layout of a number of equal sets is one shared object."""
+        if sizes is None:
+            sizes = (rows,)
+        if type(sizes) is tuple and sizes and sizes.count(sizes[0]) == len(sizes):
+            sizes = _uniform(len(sizes), sizes[0])
         elif not isinstance(sizes, SetLayout):
             sizes = SetLayout(sizes)
         if sizes.rows != rows:
@@ -447,12 +480,13 @@ class SetLayout:
 
 
 @lru_cache(maxsize=256)
-def _one_set(rows: int) -> SetLayout:  # shared: nothing writes to a layout
-    return SetLayout((rows,))
+def _uniform(count: int, size: int) -> SetLayout:  # shared: nothing writes to a layout
+    return SetLayout((size,) * count)
 
 
 def max_over_sets(a: Tensor, sizes=None) -> Tensor:
-    """Columnwise max over the rows of each packed set: (N, d) -> (B, d).
+    """Columnwise max over the rows of each packed set: (N, d) -> (B, d), or
+    grouped (G, N, d) -> (G, B, d) with sizes the G * B tiled sets.
 
     Permutation-invariant pooling over sets of actor embeddings. The
     gradient flows only to the winning row per set and column; ties break
@@ -461,8 +495,11 @@ def max_over_sets(a: Tensor, sizes=None) -> Tensor:
     where a lower row holds -0.0, and the winners keep the lowest row's sign.
     """
     (ad,), tape = _operands(a)
-    if ad.ndim != 2:
-        raise ShapeError(f"max_over_sets: need a 2-d tensor, got {ad.shape}")
+    in_shape, grouped = ad.shape, ad.ndim == 3
+    if grouped:
+        ad = ad.reshape(-1, in_shape[2])
+    elif ad.ndim != 2:
+        raise ShapeError(f"max_over_sets: need a 2-d or grouped 3-d tensor, got {ad.shape}")
     if ad.shape[0] == 0:
         raise EmptySetError("max_over_sets: empty set")
     layout = SetLayout.of(sizes, ad.shape[0])
@@ -470,19 +507,20 @@ def max_over_sets(a: Tensor, sizes=None) -> Tensor:
     if tape is None:
         out = padded.max(axis=1)
         if out.all():
-            return out
+            return out.reshape(in_shape[0], -1, in_shape[2]) if grouped else out
     slots = np.argmax(padded, axis=1)  # first max wins ties
     winners = layout.offsets[:, None] + slots
     cols = np.arange(ad.shape[1])
     out = ad[winners, cols]
+    if grouped:
+        out = out.reshape(in_shape[0], -1, in_shape[2])
     if tape is None:
         return out
-    in_shape = ad.shape
 
     def vjp(g):
-        dx = np.zeros(in_shape)
-        dx[winners, cols] = g
-        return (dx,)
+        dx = np.zeros(ad.shape)
+        dx[winners, cols] = g.reshape(-1, ad.shape[1])
+        return (dx.reshape(in_shape),)
 
     return _result(out, tape, vjp)
 
@@ -502,88 +540,126 @@ def set_attention(q: Tensor, k: Tensor, v: Tensor, sizes=None, record=None) -> T
     attends only to the rows of its own set. Padding stays inside: the op
     works on (B, width, d) blocks with padded keys masked out. When record
     is a list of B lists, set i's (n_i, n_i) weights are appended to
-    record[i].
+    record[i]. Grouped (G, N, d) operands are G * N rows of G * B tiled sets.
     """
     (qd, kd, vd), tape = _operands(q, k, v)
-    if qd.ndim != 2 or kd.ndim != 2 or vd.ndim != 2 or qd.shape != kd.shape:
+    if qd.ndim not in (2, 3) or qd.shape != kd.shape or vd.ndim != qd.ndim:
         raise ShapeError(f"set_attention: bad Q/K/V shapes {qd.shape}, {kd.shape}, {vd.shape}")
-    if vd.shape[0] != kd.shape[0]:
+    if vd.shape[:-1] != kd.shape[:-1]:
         raise ShapeError(f"set_attention: V shape {vd.shape} does not match K {kd.shape}")
+    shapes = None
+    if qd.ndim == 3:
+        shapes = qd.shape, kd.shape, vd.shape
+        qd, kd, vd = (x.reshape(-1, x.shape[2]) for x in (qd, kd, vd))
     layout = SetLayout.of(sizes, qd.shape[0])
     scale = 1.0 / np.sqrt(qd.shape[1])
     qp, kp, vp = layout.pad(qd), layout.pad(kd), layout.pad(vd)
-    scores = (qp @ kp.transpose(0, 2, 1)) * scale
+    # the softmax runs in place in the scores array: fewer large temporaries
+    w = qp @ kp.transpose(0, 2, 1)
+    w *= scale
     if not layout.uniform:
-        scores = np.where(layout.mask[:, None, :], scores, -np.inf)
-    e = np.exp(scores - scores.max(axis=2, keepdims=True))
-    w = e / e.sum(axis=2, keepdims=True)
+        np.copyto(w, -np.inf, where=~layout.mask[:, None, :])
+    w -= w.max(axis=2, keepdims=True)
+    np.exp(w, w)
+    w /= w.sum(axis=2, keepdims=True)
     if record is not None:
         for i, n in enumerate(layout.sizes):
             record[i].append(w[i, :n, :n].copy())
     out = layout.unpad(w @ vp)
+    if shapes is not None:
+        out = out.reshape(shapes[2])
     if tape is None:
         return out
 
     def vjp(g):
-        gp = layout.pad(g)  # padded query rows get no gradient
+        gp = layout.pad(g.reshape(-1, g.shape[-1]))  # padded query rows get no gradient
         dw = gp @ vp.transpose(0, 2, 1)
         dscores = w * (dw - (dw * w).sum(axis=2, keepdims=True)) * scale
-        return (layout.unpad(dscores @ kp),
-                layout.unpad(dscores.transpose(0, 2, 1) @ qp),
-                layout.unpad(w.transpose(0, 2, 1) @ gp))
+        grads = (layout.unpad(dscores @ kp),
+                 layout.unpad(dscores.transpose(0, 2, 1) @ qp),
+                 layout.unpad(w.transpose(0, 2, 1) @ gp))
+        return grads if shapes is None else [d.reshape(s) for d, s in zip(grads, shapes)]
 
     return _result(out, tape, vjp)
 
 
 def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax of a 2-d tensor, stabilised by the row max."""
+    """Row-wise softmax of a 2-d (or grouped 3-d) tensor, stabilised by the row max."""
     (ad,), tape = _operands(a)
-    if ad.ndim != 2:
-        raise ShapeError(f"softmax_rows: need a 2-d tensor, got {ad.shape}")
-    z = ad - ad.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=1, keepdims=True)
+    if ad.ndim not in (2, 3):
+        raise ShapeError(f"softmax_rows: need a 2-d or grouped 3-d tensor, got {ad.shape}")
+    y = ad - ad.max(axis=-1, keepdims=True)
+    np.exp(y, y)  # in place, as below: fewer large temporaries
+    y /= y.sum(axis=-1, keepdims=True)
     if tape is None:
         return y
 
     def vjp(g):
         # dL/dx = y * (g - sum_j g_j y_j) per row
-        dot = (g * y).sum(axis=1, keepdims=True)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         return (y * (g - dot),)
 
     return _result(y, tape, vjp)
+
+
+def weighted_sum(a: Tensor, weights, start: Tensor | None = None) -> Tensor:
+    """start + weights[0] * a[0] + weights[1] * a[1] + ... over a's leading
+    axis, added one term at a time from the left (without start, from the
+    first term). Late fusion mixes its members' class probabilities with it,
+    a group at a time, in the bits of mixing them member by member."""
+    (ad, *sd), tape = _operands(a) if start is None else _operands(a, start)
+    weights = [float(w) for w in weights]
+    if not weights or len(weights) != len(ad) or (sd and sd[0].shape != ad.shape[1:]):
+        raise ShapeError(f"weighted_sum: {len(weights)} weights for shape {ad.shape}"
+                         + (f" and start {sd[0].shape}" if sd else ""))
+    out = sd[0] if sd else None
+    for x, c in zip(ad, weights):
+        out = x * c if out is None else out + x * c
+    if tape is None:
+        return out
+
+    def vjp(g):
+        da = np.multiply.outer(weights, g)  # slice i is g * weights[i]
+        return (da, g) if sd else (da,)
+
+    return _result(out, tape, vjp)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalise each row to zero mean / unit variance, then scale and shift.
 
     Uses the population variance (divide by d) and eps = 1e-5 inside the
-    square root.
+    square root. A grouped (G, N, d) input takes (G, d) gains and biases.
     """
     (ad, gd, bd), tape = _operands(a, gain, bias)
-    if ad.ndim != 2:
-        raise ShapeError(f"layer_norm: need a 2-d input, got {ad.shape}")
-    d = ad.shape[1]
-    if gd.shape != (d,) or bd.shape != (d,):
-        raise ShapeError(
-            f"layer_norm: gain/bias must have shape ({d},), got {gd.shape} and {bd.shape}"
-        )
+    if ad.ndim not in (2, 3):
+        raise ShapeError(f"layer_norm: need a 2-d or grouped 3-d input, got {ad.shape}")
+    d = ad.shape[-1]
+    if gd.shape != ad.shape[:-2] + (d,) or bd.shape != gd.shape:
+        raise ShapeError(f"layer_norm: gain/bias must have shape {ad.shape[:-2] + (d,)}, "
+                         f"got {gd.shape} and {bd.shape}")
+    if ad.ndim == 3:
+        gd, bd = gd[:, None], bd[:, None]
     # each mean is np.mean's own reduce-then-divide, without its Python wrapper
-    mu = ad.sum(axis=1, keepdims=True) / d
+    mu = ad.sum(axis=-1, keepdims=True) / d
     centered = ad - mu
-    var = (centered * centered).sum(axis=1, keepdims=True) / d
+    out = centered * centered
+    var = out.sum(axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    x_hat = centered * inv_std
-    out = x_hat * gd + bd
+    # in place from here on: fewer large temporaries
+    x_hat = centered
+    x_hat *= inv_std
+    np.multiply(x_hat, gd, out)
+    out += bd
     if tape is None:
         return out
 
     def vjp(g):
         gx = g * gd
-        m1 = gx.sum(axis=1, keepdims=True) / d
-        m2 = (gx * x_hat).sum(axis=1, keepdims=True) / d
+        m1 = gx.sum(axis=-1, keepdims=True) / d
+        m2 = (gx * x_hat).sum(axis=-1, keepdims=True) / d
         dx = inv_std * (gx - m1 - x_hat * m2)
-        return (dx, (g * x_hat).sum(axis=0), g.sum(axis=0))
+        return (dx, (g * x_hat).sum(axis=-2), g.sum(axis=-2))
 
     return _result(out, tape, vjp)
 
@@ -622,7 +698,8 @@ class DropoutDraws:
     run, then set 1's, and so on. That is the order running the sets one at
     a time draws in, so packing a batch changes no mask. dropout() reads
     this like an rng, one site per call; widths are the per-row mask widths
-    of the sites in the order they run.
+    of the sites in the order they run. A grouped pass asks for its (G, N, w)
+    sites with G sets of N rows each.
     """
 
     def __init__(self, rng, sizes, widths):
@@ -639,10 +716,10 @@ class DropoutDraws:
         ])
 
     def random(self, shape):
-        draws = next(self._sites, None)
-        if draws is None or draws.shape != tuple(shape):
-            raise UsageError(f"dropout site of shape {tuple(shape)} was not drawn for this pass")
-        return draws
+        draws, shape = next(self._sites, None), tuple(shape)
+        if draws is None or (draws.shape[1:], draws.size) != (shape[-1:], math.prod(shape)):
+            raise UsageError(f"dropout site of shape {shape} was not drawn for this pass")
+        return draws if len(shape) == 2 else draws.reshape(shape)
 
 
 def _row_cross_entropy(logits: Tensor, labels):

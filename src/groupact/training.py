@@ -287,10 +287,23 @@ class _SceneStream:
         out, self.queue = self.queue[:size], self.queue[size:]
         return out
 
-    def skip(self, count: int, actors: np.ndarray) -> int:
-        """Pass over the next count indices as take(count) does; returns the
-        total of actors (one count per scene) over them."""
-        return int(actors[self.take(count)].sum())
+    def skip(self, count: int, actors) -> int:
+        """Pass over the next count indices as take(count) does, drawing the
+        same permutations; returns the total of actors (a sequence of one
+        count per scene) over them. A whole epoch counts every scene once, so
+        only the indices outside whole epochs are looked up, and the queue
+        keeps only the rest of the last permutation."""
+        head, self.queue = self.queue[:count], self.queue[count:]
+        epochs, rest = divmod(count - len(head), self.count)
+        for _ in range(epochs):
+            self.rng.permutation(self.count)  # drawn only to advance the stream
+        if rest:
+            perm = self.rng.permutation(self.count)
+            head, self.queue = np.concatenate([head, perm[:rest]]), perm[rest:]
+        total = sum([actors[i] for i in head.tolist()])
+        if epochs:
+            total += epochs * sum(actors)
+        return int(total)
 
 
 def train(model, scenes, cfg: TrainConfig, *, start_iteration: int = 0, optimizer=None) -> LossCurve:
@@ -318,7 +331,7 @@ def train(model, scenes, cfg: TrainConfig, *, start_iteration: int = 0, optimize
     widths = dropout_widths(model.encoder)
     dropout_rng = rng_for(cfg.seed, DROPOUT)
     if start_iteration:
-        actors = np.array([len(scene.actions) for scene in scenes])  # n_actors, minus a call
+        actors = [len(scene.actions) for scene in scenes]  # n_actors, minus a call
         skipped = stream.skip(start_iteration * cfg.batch_size, actors)
         dropout_rng.bit_generator.advance(skipped * sum(widths))
     curve = LossCurve()

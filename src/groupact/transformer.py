@@ -8,7 +8,9 @@ output, inner feed-forward activation, feed-forward output) share one rate.
 The encoder runs on packed actor sets: s holds the actors of several scenes
 row after row, and the optional sizes argument (a sequence of per-scene
 actor counts, or a SetLayout) keeps attention inside each scene. Without
-sizes, the rows are one scene.
+sizes, the rows are one scene. A grouped (G, N, d_model) s runs G encoders
+of one config side by side, each layer's weights stacked over them (see
+tensor.stack); its sizes are the scenes' sizes tiled G times.
 """
 
 from __future__ import annotations
@@ -155,7 +157,7 @@ def multi_head(s: Tensor, w: EncoderLayerWeights, record=None, sizes=None) -> Te
     When record is a list, each head's (n, n) attention matrix is appended
     to it as a plain array; with sizes, record is one such list per scene.
     """
-    layout = SetLayout.of(sizes, s.shape[0])
+    layout = SetLayout.of(sizes, math.prod(s.shape[:-1]))
     per_scene = None if record is None else (record if sizes is not None else [record])
     heads = [set_attention(matmul(s, wq), matmul(s, wk), matmul(s, wv), layout, per_scene)
              for wq, wk, wv in zip(w.w_q, w.w_k, w.w_v)]
@@ -201,9 +203,9 @@ def encode(s: Tensor, weights: EncoderWeights, mode=MODE_INFER, rng=None, record
     or with sizes a list of them, one per scene.
     """
     cfg = weights.cfg
-    if s.ndim != 2 or s.shape[1] != cfg.d_model:
+    if s.ndim not in (2, 3) or s.shape[-1] != cfg.d_model:
         raise ShapeError(f"encode: need (n, {cfg.d_model}) input, got {s.shape}")
-    layout = SetLayout.of(sizes, s.shape[0])
+    layout = SetLayout.of(sizes, math.prod(s.shape[:-1]))
     recs = [AttentionRecord() for _ in range(layout.count)] if record_attention else None
     for layer in weights.layers:
         per_scene = [[] for _ in range(layout.count)] if record_attention else None

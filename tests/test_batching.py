@@ -325,13 +325,14 @@ def test_training_step_matches_the_one_scene_loop_with_dropout():
         assert _gap(grads_b[name], g) <= RTOL, name
 
 
-def _member_mix(model, batch):
-    """Late fusion from its members' own forward_batch outputs, mixed by the
-    same ops: (action mix, activity mix, {branch: attention records})."""
+def _member_mix(model, batch, mode=MODE_INFER, rng=None):
+    """Late fusion from its members' own forward_batch outputs, run one after
+    another and mixed by the same ops: (action mix, activity mix, {branch:
+    attention records})."""
     action_mix = activity_mix = None
     recs = {}
     for b in model.branches:
-        pred = model.models[b].forward_batch(batch, MODE_INFER, record_attention=True)
+        pred = model.models[b].forward_batch(batch, mode, rng, record_attention=True)
         act = mul(softmax_rows(pred.action_logits), model.weights[b])
         grp = mul(softmax_rows(pred.activity_logits), model.weights[b])
         action_mix = act if action_mix is None else add(action_mix, act)

@@ -316,6 +316,42 @@ def test_train_resume_with_dropout_matches_straight_run():
         npt.assert_array_equal(a.data, b.data, err_msg=name)
 
 
+# 30 ragged scenes in batches of 4: an epoch is 7.5 iterations, so a resume
+# at 15 lands on the end of the second epoch, and one at 17 or 40 spans
+# whole epochs plus part of the next
+@pytest.mark.parametrize("start", [15, 17, 40])
+def test_train_resume_across_epochs_matches_straight_run(start):
+    cfg_s = SceneConfig(rule="key-actor-side", num_actions=3, num_activities=2,
+                        n_actors=(1, 6), branch_dims={"static": 8}, noise=0.5, seed=13)
+    scenes = generate(cfg_s, 30).scenes
+    cfg = TrainConfig(optimizer="adam", lr_schedule=((0, 0.01),), total_iterations=start + 3,
+                      batch_size=4, seed=3)
+
+    straight = _model(8, dropout=0.1)
+    full_curve = train(straight, scenes, cfg)
+
+    resumed = _model(8, dropout=0.1)
+    opt = make_optimizer(cfg, resumed.parameters())
+    head = train(resumed, scenes, replace(cfg, total_iterations=start), optimizer=opt)
+    tail = train(resumed, scenes, cfg, start_iteration=start, optimizer=opt)
+
+    assert head.rows + tail.rows == full_curve.rows
+    for (name, a), (_, b) in zip(straight.parameters(), resumed.parameters()):
+        npt.assert_array_equal(a.data, b.data, err_msg=name)
+
+
+def test_scene_stream_skip_takes_what_take_takes():
+    scenes = generate(SceneConfig(rule="key-actor-side", num_actions=3, num_activities=2,
+                                  n_actors=(1, 6), branch_dims={"static": 8}, seed=2), 7).scenes
+    actors = np.array([len(s.actions) for s in scenes])
+    for first, count in ((0, 0), (0, 5), (0, 7), (0, 21), (0, 23), (3, 4), (3, 2), (5, 30)):
+        skipped, taken = (_SceneStream(7, rng_for(1, SHUFFLE)) for _ in range(2))
+        skipped.take(first), taken.take(first)
+        assert skipped.skip(count, actors.tolist()) == actors[taken.take(count)].sum()
+        npt.assert_array_equal(skipped.queue, taken.queue)
+        npt.assert_array_equal(skipped.take(9), taken.take(9))
+
+
 def test_train_leaves_no_garbage_cycles():
     import gc
 

@@ -16,7 +16,10 @@ then run one fixed list of CLI scenarios, each tree from its own `src/`:
   one packed chunk of scenes;
 - the quick start with 12 scenes of 300-600 actors: generate only, so that
   each dataset record spans several 32 KiB write blocks and every scene's
-  features are larger than one block.
+  features are larger than one block;
+- the late fusion workload config with scenes of 1-3 actors: generate,
+  train, evaluate and attention-dump, so that one-actor scenes put a
+  one-row matrix product into each member group's pass.
 
 Every output file is compared byte for byte. The script prints the numpy
 version and the BLAS kernel it ran on, since another kernel rounds
@@ -32,6 +35,7 @@ from __future__ import annotations
 import argparse
 import io
 import os
+import re
 import subprocess
 import sys
 import tarfile
@@ -83,6 +87,15 @@ for path in sys.argv[1:]:
 """
 
 
+def _set(config: str, **values) -> str:
+    """config text with the line of each key set to its value; the key must be there."""
+    for key, value in values.items():
+        config, found = re.subn(rf"^{key} = .*$", f"{key} = {value}", config, flags=re.M)
+        if found != 1:
+            raise ValueError(f"config has {found} lines for {key!r}")
+    return config
+
+
 def _scenarios():
     """(name, config text, [(command, extra config lines, checkpoint run or None, out)])."""
     data = "train_data = data/train.scenes\ntest_data = data/test.scenes\n"
@@ -114,9 +127,17 @@ def _scenarios():
                     ("train", "", None, "run"),
                     ("evaluate", "", "run", "run/eval"),
                 ]))
-    out.append(("large-scenes", QUICKSTART.replace("n_actors = 12", "n_actors = 300-600")
-                .replace("scene_count = 200", "scene_count = 12") + data,
+    out.append(("large-scenes", _set(QUICKSTART, n_actors="300-600", scene_count="12") + data,
                 [("generate", "", None, "data")]))
+    late = WORKLOADS["io-late-fusion"]
+    out.append(("late-tiny", _set(late.config, n_actors="1-3") + data
+                + f"scene_count = {late.cli_scenes}\ntrain_fraction = 0.75\n"
+                f"total_iterations = {late.cli_iterations}\nseed = 0\n", [
+                    ("generate", "", None, "data"),
+                    ("train", "", None, "run"),
+                    ("evaluate", "", "run", "run/eval"),
+                    ("attention-dump", "", "run", "attention"),
+                ]))
     return out
 
 
