@@ -207,7 +207,7 @@ def cmd_ablate(cfg: RunConfig, out_dir: Path) -> int:
 
 def _attention_csv(matrix) -> str:
     header = ",".join(f"actor{c}" for c in range(matrix.shape[1]))
-    return f"{header}\n{float_lines(matrix, sep=',')}\n"
+    return f"{header}\n{float_lines(matrix)}\n"
 
 
 def _dump_record(out_dir: Path, prefix: str, scene_id: int, record) -> int:
@@ -283,6 +283,10 @@ def main(argv=None) -> int:
         return cmd_attention_dump(cfg, args.out, args.checkpoint)
     except GroupActError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # readers raise GroupActErrors; this is an output that cannot be made
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

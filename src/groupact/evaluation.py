@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, UsageError
+from .errors import DataError, ParseError, UsageError
 from .fileio import atomic_write_text, f17, read_text
 # branch_inputs stays bound here, where perfbench/spans.py wraps it
 from .model import SceneBatch, branch_inputs, predict  # noqa: F401
@@ -54,14 +54,20 @@ class EvalReport:
 
 def evaluate_model(model, scenes, num_actions: int, num_activities: int) -> EvalReport:
     """Confusion matrices of model.forward_batch over the scenes, run in
-    packed chunks of EVAL_CHUNK scenes."""
+    packed chunks of EVAL_CHUNK scenes. The model must predict num_actions
+    actions and num_activities activities, the scenes' class counts."""
     if not scenes:
         raise UsageError("evaluate_model needs at least one scene")
     group_conf = np.zeros((num_activities, num_activities), dtype=np.int64)
     action_conf = np.zeros((num_actions, num_actions), dtype=np.int64)
     for start in range(0, len(scenes), EVAL_CHUNK):
         chunk = scenes[start:start + EVAL_CHUNK]
-        groups, actions = predict(model.forward_batch(SceneBatch(chunk), MODE_INFER))
+        pred = model.forward_batch(SceneBatch(chunk), MODE_INFER)
+        counts = (pred.action_logits.shape[1], pred.activity_logits.shape[1])
+        if counts != (num_actions, num_activities):
+            raise DataError(f"the model predicts {counts[0]} actions and {counts[1]} activities, "
+                            f"the scenes have {num_actions} and {num_activities}")
+        groups, actions = predict(pred)
         np.add.at(group_conf, ([scene.activity for scene in chunk], groups), 1)
         np.add.at(action_conf, (np.concatenate([scene.actions for scene in chunk]), actions), 1)
     return EvalReport(len(scenes), group_conf, action_conf)

@@ -46,11 +46,11 @@ def f17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def float_lines(block, sep: str = " ") -> str:
-    """A (count, width) float block as count lines of sep-joined f17 values, in one
-    % operation: "%.17g" % x equals f17(x) for every float64."""
+def float_lines(block) -> str:
+    """A (count, width) float block as count lines of comma-joined f17 values, in
+    one % operation: "%.17g" % x equals f17(x) for every float64."""
     count, width = np.shape(block)
-    return "\n".join([sep.join(["%.17g"] * width)] * count) % tuple(np.ravel(block).tolist())
+    return "\n".join([",".join(["%.17g"] * width)] * count) % tuple(np.ravel(block).tolist())
 
 
 @contextmanager

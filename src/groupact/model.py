@@ -194,30 +194,28 @@ def pack_inputs(batch: Sequence[Mapping[str, BranchInput]], feature_dims: Mappin
     if not batch:
         raise DataError("a batch needs at least one scene")
     packed = _pack(batch, feature_dims)
-    if packed is None:
-        batch = list(batch)  # a SceneBatch's branch_inputs: BranchInput checks each scene
+    if packed is None:  # a SceneBatch iterates as branch_inputs, whose BranchInputs check each scene
         for inputs in batch:
             missing = [b for b in feature_dims if b not in inputs]
             if missing:
                 raise DataError(f"scene is missing branches {missing}, has {sorted(inputs)}")
             n = None
             for b, dim in feature_dims.items():
-                feats = inputs[b].features
+                feats, centers = inputs[b].features, inputs[b].centers
                 if feats.shape[1] != dim:
                     raise ShapeError(f"branch {b!r} expects feature_dim {dim}, got {feats.shape[1]}")
                 if n is not None and feats.shape[0] != n:
                     raise ShapeError(f"branch {b!r} has {feats.shape[0]} actors, expected {n}")
                 n = feats.shape[0]
-        packed = _pack(batch, feature_dims)  # mappings that pass those checks pack
-    inputs, sizes = packed
-    checked_centers = set()
-    for b in feature_dims:
-        centers = inputs[b].centers
-        if id(centers) not in checked_centers:
-            checked_centers.add(id(centers))
-            if not (centers.min() >= 0.0 and centers.max() <= 1.0):  # a NaN fails it too
-                x, y = centers[~((centers >= 0.0) & (centers <= 1.0)).all(axis=1)][0]
-                raise DataError(f"branch {b!r}: box center out of [0, 1]: ({x}, {y})")
+                if centers.shape != (n, 2):
+                    raise ShapeError(f"branch {b!r}: centers must be ({n}, 2), got {centers.shape}")
+        # what still fails to pack is an array swapped into a BranchInput after its checks
+        raise ShapeError("batch arrays do not pack")
+    inputs, sizes, centers_by_branch = packed
+    for b, centers in centers_by_branch:
+        if not (centers.min() >= 0.0 and centers.max() <= 1.0):  # a NaN fails it too
+            x, y = centers[~((centers >= 0.0) & (centers <= 1.0)).all(axis=1)][0]
+            raise DataError(f"branch {b!r}: box center out of [0, 1]: ({x}, {y})")
     return inputs, sizes
 
 
@@ -230,9 +228,11 @@ def _joined(arrays) -> np.ndarray:
 
 def _pack(batch, feature_dims):
     """pack_inputs' packing and its shape checks: ({branch: BranchInput},
-    sizes), or None when a scene lacks a branch or an array has the wrong
-    shape. Each check runs once per batch: a packed array of the right
-    shape and the lists of per-scene row counts cover every scene."""
+    sizes, [(branch, centers)] for each distinct packed centers array and the
+    first branch that reads it), or None when a scene lacks a branch or an
+    array has the wrong shape. Each check runs once per batch: a packed array
+    of the right shape and the lists of per-scene row counts cover every
+    scene."""
     scenes = batch.scenes if isinstance(batch, SceneBatch) else None
     sizes, packed, by_parts = None, {}, {}
     try:
@@ -245,16 +245,17 @@ def _pack(batch, feature_dims):
             key = tuple(map(id, centers))  # batch keeps every part alive, so ids are unique
             rows = list(map(len, feats))
             f = _joined(feats)
-            c = by_parts[key] if key in by_parts else _joined(centers)
+            c = by_parts[key][1] if key in by_parts else _joined(centers)
             if (f.ndim != 2 or f.shape[1] != dim or c.shape != (f.shape[0], 2) or min(rows) < 1
                     or (sizes is not None and rows != sizes) or list(map(len, centers)) != rows):
                 return None
-            sizes, by_parts[key] = rows, c
+            sizes = rows
             # one mapping's BranchInput already holds the arrays packing makes
             packed[b] = parts[0] if scenes is None and len(parts) == 1 else BranchInput(f, c)
+            by_parts.setdefault(key, (b, packed[b].centers))
     except (KeyError, TypeError, ValueError):  # no such branch, a 0-d array, ndims that differ
         return None
-    return packed, tuple(sizes)
+    return packed, tuple(sizes), by_parts.values()
 
 
 def checked(pred: Prediction) -> Prediction:
@@ -308,13 +309,11 @@ class BranchWeights:
         return out
 
 
-def _read_out(x: Tensor, w, layout: SetLayout, mode, rng, record_attention, centers=None,
-              codes=None) -> Prediction:
-    """Every model's read-out of embedded actor rows x: codes for centers (if
-    given), w's encoder (if any), the action head per row and the activity head
-    per set max. w: a BranchWeights or an EarlyFusionModel. codes: see apply_pe."""
-    if centers is not None:
-        x = apply_pe(x, centers, w.cfg.pe_scale, codes)
+def _read_out(x: Tensor, w, layout: SetLayout, mode, rng, record_attention) -> Prediction:
+    """Every model's read-out of embedded actor rows x, position codes already
+    added: w's encoder (if any), the action head per row and the activity head
+    per set max. w: a BranchWeights, the _stacked weights of a grouped pass or
+    an EarlyFusionModel."""
     rec = None
     if w.encoder is not None:
         x, rec = encode(x, w.encoder, mode, rng, record_attention, layout)
@@ -338,10 +337,10 @@ def _embedded(inp: BranchInput, w: BranchWeights, codes) -> Tensor:
 
 
 def forward_branch(inp: BranchInput, w: BranchWeights, mode=MODE_INFER, rng=None,
-                   record_attention=False, sizes=None, codes=None) -> Prediction:
+                   record_attention=False, sizes=None) -> Prediction:
     """One branch's forward pass. With sizes, inp packs that many scenes'
     actors row after row and the Prediction is a batch. The centers of inp
-    are not checked here: models pass pack_inputs' output. codes: see apply_pe."""
+    are not checked here: models pass pack_inputs' output."""
     cfg = w.cfg
     if inp.features.shape[1] != cfg.feature_dim:
         raise ShapeError(
@@ -349,9 +348,9 @@ def forward_branch(inp: BranchInput, w: BranchWeights, mode=MODE_INFER, rng=None
         )
     if sizes is None:
         return one_scene(forward_branch(inp, w, mode, rng, record_attention,
-                                        (inp.features.shape[0],), codes))
+                                        (inp.features.shape[0],)))
     layout = SetLayout.of(sizes, inp.features.shape[0])
-    return _read_out(_embedded(inp, w, codes), w, layout, mode, rng, record_attention)
+    return _read_out(_embedded(inp, w, None), w, layout, mode, rng, record_attention)
 
 
 def _stacked(members) -> SimpleNamespace:
@@ -471,11 +470,10 @@ class EarlyFusionModel:
                 x = add(x, e)
         else:
             x = matmul(concat_last_dim(embedded), self.proj)
-        after_fusion = self.cfg.use_pe and self.early_pe == EARLY_PE_AFTER_FUSION
+        if self.cfg.use_pe and self.early_pe == EARLY_PE_AFTER_FUSION:
+            x = apply_pe(x, packed[self.branches[0]].centers, self.cfg.pe_scale, codes)
         layout = SetLayout.of(sizes, x.shape[0])
-        return checked(_read_out(x, self, layout, mode, rng, record_attention,
-                                 packed[self.branches[0]].centers if after_fusion else None,
-                                 codes))
+        return checked(_read_out(x, self, layout, mode, rng, record_attention))
 
     def parameters(self):
         out = []

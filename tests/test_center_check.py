@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from groupact.errors import DataError
+from groupact.errors import DataError, ShapeError
 from groupact.model import BranchConfig, BranchInput, BranchModel, EarlyFusionModel, LateFusionModel
 from groupact.seeding import rng_for
 
@@ -44,3 +44,27 @@ def test_bad_center_is_rejected_at_model_entry(kind, use_pe, bad):
         model.forward(scene)
     with pytest.raises(DataError, match=message):
         model.forward_batch([good, scene])
+
+
+@pytest.mark.parametrize("kind", ["branch", "early-sum", "early-concat", "late"])
+def test_centers_reassigned_after_construction_are_a_shape_error(kind):
+    rng = np.random.default_rng(0)
+    good = {b: BranchInput(rng.standard_normal((5, 8)), rng.random((5, 2))) for b in ("a", "b")}
+    branch = "a" if kind == "branch" else "b"
+    bad = BranchInput(good[branch].features, good[branch].centers)
+    bad.centers = rng.random((3, 2))  # BranchInput checked only the centers it was built with
+    scene = dict(good, **{branch: bad})
+    model = _model(kind, use_pe=True)
+    message = re.escape(f"branch '{branch}': centers must be (5, 2), got (3, 2)")
+    with pytest.raises(ShapeError, match=message):
+        model.forward(scene)
+    with pytest.raises(ShapeError, match=message):
+        model.forward_batch([good, scene])
+
+
+def test_features_reassigned_to_another_rank_are_a_shape_error():
+    rng = np.random.default_rng(0)
+    inp = BranchInput(rng.standard_normal((5, 8)), rng.random((5, 2)))
+    inp.features = inp.features[:, :, None]  # width and actor count still read right
+    with pytest.raises(ShapeError, match="batch arrays do not pack"):
+        _model("branch", use_pe=True).forward_batch([{"a": inp}])

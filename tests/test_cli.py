@@ -397,3 +397,36 @@ def test_sgd_resume_from_an_adam_checkpoint_is_refused(tmp_path, capsys):
     assert err.startswith(f"error: {head / 'model.ckpt'}:0: unexpected optimizer slot")
     assert "Traceback" not in err
     assert not (tmp_path / "tail" / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("num_actions", [2, 5], ids=["fewer", "more"])
+def test_evaluate_refuses_a_dataset_with_other_class_counts(tmp_path, capsys, num_actions):
+    run = _train(tmp_path, _generate(tmp_path), iters=2)
+    other = BASE.replace("num_actions = 3", f"num_actions = {num_actions}")
+    data = _generate(tmp_path, out="other", base=other)
+    cfg = _write_cfg(tmp_path, "eval.cfg", f"test_data = {data / 'test.scenes'}\n", base=other)
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--config", str(cfg), "--out", str(out),
+                 "--checkpoint", str(run / "model.ckpt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "3 actions" in err and f"have {num_actions} and 2" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", ["generate", "train", "evaluate", "ablate", "attention-dump"])
+def test_out_naming_a_file_is_an_error(tmp_path, capsys, command, under):
+    data = _generate(tmp_path)
+    run = _train(tmp_path, data, iters=2)
+    cfg = _write_cfg(tmp_path, "run.cfg", f"train_data = {data / 'train.scenes'}\n"
+                     f"test_data = {data / 'test.scenes'}\ntotal_iterations = 2\n")
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    out = taken / "sub" if under else taken
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--out", str(out),
+                 "--checkpoint", str(run / "model.ckpt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: ") and "Traceback" not in err
+    assert taken.read_text() == "keep\n"

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from groupact.errors import ParseError
+from groupact.errors import DataError, ParseError
 from groupact.evaluation import (
     ACTION_CONFUSION_FILE,
     GROUP_CONFUSION_FILE,
@@ -115,3 +115,11 @@ def test_corrupt_confusion_matrix_is_rejected(tmp_path):
     conf.write_text("\n".join(lines[:-1]) + "\n")  # drop the last row
     with pytest.raises(ParseError):
         read_report(tmp_path)
+
+
+@pytest.mark.parametrize("num_actions", [4, 6], ids=["fewer", "more"])
+def test_class_counts_other_than_the_models_are_refused(num_actions):
+    ds = _dataset(noise=0.0, count=8)
+    with pytest.raises(DataError, match="predicts 5 actions and 4 activities, "
+                                        f"the scenes have {num_actions} and 4"):
+        evaluate_model(OracleModel(ds), ds.scenes, num_actions, 4)

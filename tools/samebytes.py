@@ -19,7 +19,13 @@ then run one fixed list of CLI scenarios, each tree from its own `src/`:
   features are larger than one block;
 - the late fusion workload config with scenes of 1-3 actors: generate,
   train, evaluate and attention-dump, so that one-actor scenes put a
-  one-row matrix product into each member group's pass.
+  one-row matrix product into each member group's pass;
+- the quick start with two branches under early-concat fusion, position
+  codes added after fusing: generate, train, evaluate, attention-dump, and
+  an ablate grid over fusion (early-sum, early-concat, late), position
+  codes and the encoder, with position codes added per branch;
+- the quick start with position codes added before the embedding:
+  generate, train, evaluate and attention-dump.
 
 Every output file is compared byte for byte. The script prints the numpy
 version and the BLAS kernel it ran on, since another kernel rounds
@@ -138,6 +144,23 @@ def _scenarios():
                     ("evaluate", "", "run", "run/eval"),
                     ("attention-dump", "", "run", "attention"),
                 ]))
+    small = _set(QUICKSTART, scene_count="60") + data
+    two = _set(small, branches="static:16, dynamic-rgb:12") + "fusion = early-concat\n"
+    out.append(("early-fusion", two, [
+        ("generate", "", None, "data"),
+        ("train", "total_iterations = 8\n", None, "run"),
+        ("evaluate", "", "run", "run/eval"),
+        ("attention-dump", "", "run", "attention"),
+        ("ablate", "total_iterations = 4\nearly_pe = per-branch\n"
+         "ablate_fusion = early-sum, early-concat, late\nablate_pe = on, off\n"
+         "ablate_encoder = on, off\n", None, "grid"),
+    ]))
+    out.append(("pre-embed", small + "pe_stage = pre-embed\n", [
+        ("generate", "", None, "data"),
+        ("train", "total_iterations = 8\n", None, "run"),
+        ("evaluate", "", "run", "run/eval"),
+        ("attention-dump", "", "run", "attention"),
+    ]))
     return out
 
 
