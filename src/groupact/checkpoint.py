@@ -55,8 +55,10 @@ def _cfg_from_meta(prefix: str, meta: dict) -> BranchConfig:
 def save_model(path, model, *, iteration: int = 0, extra_tensors=()) -> None:
     """Serialise a model plus optional optimizer slots.
 
-    extra_tensors names must not collide with model parameter names; the
-    training loop namespaces optimizer slots under 'optim/'.
+    extra_tensors names must not collide with model parameter names or with
+    each other (the training loop namespaces optimizer slots under
+    'optim/'); a name used twice raises DataError before anything is
+    written, since load_model refuses such a file.
     """
     meta = {"kind": model.kind, "iteration": meta_encode("int", iteration)}
     if model.kind == "branch":
@@ -75,8 +77,13 @@ def save_model(path, model, *, iteration: int = 0, extra_tensors=()) -> None:
             meta.update(_cfg_meta(f"cfg.{b}.", model.models[b].cfg))
     else:
         raise DataError(f"cannot serialise model kind {model.kind!r}")
-    tensors = [(name, t.data) for name, t in model.parameters()]
-    write_checkpoint(path, meta, list(tensors) + list(extra_tensors))
+    tensors = [(name, t.data) for name, t in model.parameters()] + list(extra_tensors)
+    seen = set()
+    for name, _ in tensors:
+        if name in seen:
+            raise DataError(f"tensor name {name!r} is used twice")
+        seen.add(name)
+    write_checkpoint(path, meta, tensors)
 
 
 def _restore_parameters(model, stored: dict, path):

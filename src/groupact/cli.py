@@ -9,8 +9,10 @@ renamed, and every command is deterministic under a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import itertools
+import os
 import sys
 from pathlib import Path
 
@@ -243,6 +245,17 @@ def cmd_attention_dump(cfg: RunConfig, out_dir: Path, checkpoint: Path) -> int:
     return 0
 
 
+def _check_out(out: Path) -> None:
+    """Refuse out before any work: raise the OSError that making it would
+    raise when it, or its nearest existing ancestor, is not a directory."""
+    for path in (out, *out.parents):
+        if path.exists():
+            if path.is_dir():
+                return
+            code = errno.EEXIST if path == out else errno.ENOTDIR
+            raise OSError(code, os.strerror(code), str(out))
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared by every later
@@ -267,6 +280,7 @@ def main(argv=None) -> int:
     if args.seed is not None:
         overrides["seed"] = args.seed
     try:
+        _check_out(args.out)
         cfg = load_run_config(args.config, overrides)
         if args.command == "generate":
             return cmd_generate(cfg, args.out)

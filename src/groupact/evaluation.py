@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DataError, ParseError, UsageError
 from .fileio import atomic_write_text, f17, read_text
 # branch_inputs stays bound here, where perfbench/spans.py wraps it
-from .model import SceneBatch, branch_inputs, predict  # noqa: F401
+from .model import branch_inputs, predict  # noqa: F401
 from .tensor import MODE_INFER
 
 SUMMARY_FILE = "summary.csv"
@@ -62,7 +62,7 @@ def evaluate_model(model, scenes, num_actions: int, num_activities: int) -> Eval
     action_conf = np.zeros((num_actions, num_actions), dtype=np.int64)
     for start in range(0, len(scenes), EVAL_CHUNK):
         chunk = scenes[start:start + EVAL_CHUNK]
-        pred = model.forward_batch(SceneBatch(chunk), MODE_INFER)
+        pred = model.forward_batch(chunk, MODE_INFER)
         counts = (pred.action_logits.shape[1], pred.activity_logits.shape[1])
         if counts != (num_actions, num_activities):
             raise DataError(f"the model predicts {counts[0]} actions and {counts[1]} activities, "

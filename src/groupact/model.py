@@ -10,32 +10,32 @@ Branches can be fused three ways: early by summing embeddings, early by
 concatenating embeddings behind a learned projection, or late by mixing the
 per-branch class probabilities with fixed weights.
 
-Every model runs a minibatch as one forward pass (forward_batch): the
-actors of all scenes are packed into one row matrix, and only attention and
-set pooling look at the scene boundaries. forward(inputs) is the batch of
-one. A batch is a sequence of {branch: BranchInput} mappings, or a
-SceneBatch of scenes, which pack_inputs packs straight from the scenes'
-arrays; training and evaluation pass SceneBatches. Either way pack_inputs
-checks the batch once, on the packed arrays.
+Every model runs a minibatch as one forward pass (forward_batch) over a
+sequence of scenes: objects with a .features mapping from branch to an
+(n, dim) array and one (n, 2) .centers array, as ActorScene has them.
+pack_inputs packs the actors of all scenes into one row matrix per branch
+and checks the batch once; only attention and set pooling look at the scene
+boundaries. forward(inputs) runs one scene, given as a {branch: BranchInput}
+mapping, as a batch of one; it is the one place such a mapping enters, and
+the branches a model reads must hold centers of the same values.
 
 A pass starts from the packed feature arrays: outside a recording Graph
 every op on them runs untaped (see tensor), and only the outputs are
 wrapped as Tensors; a recording pass hands its first op the features as a
 Tensor. A pass raises NumericsError when its input features or its logits
-are not finite. Late fusion, too, packs a batch once for all its members,
-and runs each run of consecutive members (in branch order) whose configs
-differ at most in feature_dim as one grouped pass: each member embeds its
-own features, and the embeddings and the weights past them are stacked
-over the group (see tensor). Its outputs, attention, gradients and dropout
-masks are the bits of running the members one by one. Branches that read
-the same centers share one position-code table per forward pass.
+are not finite. Late fusion's members share one config apart from
+feature_dim, and a pass runs them all as one grouped pass: each member
+embeds its own features, and the embeddings and the weights past them are
+stacked over the members (see tensor). Its outputs, attention, gradients
+and dropout masks are the bits of running the members one by one. Every
+branch reads the one packed centers array, so branches of one width share
+one position-code table per forward pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
 from types import SimpleNamespace
 from typing import Mapping, Sequence
 
@@ -174,49 +174,31 @@ def predict(pred: Prediction):
     return (int(groups) if pred.sizes is None else groups), actions
 
 
-def pack_inputs(batch: Sequence[Mapping[str, BranchInput]], feature_dims: Mapping[str, int]):
-    """Stack the scenes' inputs of each branch into one packed BranchInput.
+def pack_inputs(scenes: Sequence, feature_dims: Mapping[str, int]):
+    """Pack a batch of scenes into one row matrix per branch.
 
-    batch holds {branch: BranchInput} mappings, or is a SceneBatch, whose
-    scenes' own arrays are packed with no BranchInput per scene. Returns
-    ({branch: BranchInput over all actors}, per-scene actor counts). Every
-    scene must carry every branch in feature_dims, with that width and one
-    actor count across its branches, and every box center must lie in
-    [0, 1]. This is the one place a model checks its input centers; every
-    forward and forward_batch goes through it. The checks run once per
-    batch, on the packed arrays and the per-scene row counts; when one
-    fails, the scenes are checked one by one as mappings, so a SceneBatch
-    raises what pack_inputs over its branch_inputs raises. Branches whose
-    scenes hold the same centers arrays share one packed centers array,
-    checked once. A batch of one is its own packing: its arrays are not
-    copied.
+    scenes: objects with a .features mapping from branch to an (n, dim) array
+    and one (n, 2) .centers array, as ActorScene has them. Returns ({branch:
+    (N, dim) features}, (N, 2) centers, per-scene actor counts), the scenes'
+    arrays one after another in float64. Every scene must carry every branch
+    in feature_dims, with that width and at least one actor, and every box
+    center must lie in [0, 1]; this is the one place a model checks its input
+    centers. The checks run once per batch, on the packed arrays and the
+    per-scene row counts; when one fails, the scenes are checked one by one
+    and the first fault is raised. A batch of one is its own packing: its
+    contiguous float64 arrays are not copied.
     """
-    if not batch:
+    if not scenes:
         raise DataError("a batch needs at least one scene")
-    packed = _pack(batch, feature_dims)
-    if packed is None:  # a SceneBatch iterates as branch_inputs, whose BranchInputs check each scene
-        for inputs in batch:
-            missing = [b for b in feature_dims if b not in inputs]
-            if missing:
-                raise DataError(f"scene is missing branches {missing}, has {sorted(inputs)}")
-            n = None
-            for b, dim in feature_dims.items():
-                feats, centers = inputs[b].features, inputs[b].centers
-                if feats.shape[1] != dim:
-                    raise ShapeError(f"branch {b!r} expects feature_dim {dim}, got {feats.shape[1]}")
-                if n is not None and feats.shape[0] != n:
-                    raise ShapeError(f"branch {b!r} has {feats.shape[0]} actors, expected {n}")
-                n = feats.shape[0]
-                if centers.shape != (n, 2):
-                    raise ShapeError(f"branch {b!r}: centers must be ({n}, 2), got {centers.shape}")
-        # what still fails to pack is an array swapped into a BranchInput after its checks
-        raise ShapeError("batch arrays do not pack")
-    inputs, sizes, centers_by_branch = packed
-    for b, centers in centers_by_branch:
-        if not (centers.min() >= 0.0 and centers.max() <= 1.0):  # a NaN fails it too
-            x, y = centers[~((centers >= 0.0) & (centers <= 1.0)).all(axis=1)][0]
-            raise DataError(f"branch {b!r}: box center out of [0, 1]: ({x}, {y})")
-    return inputs, sizes
+    packed = _pack(scenes, feature_dims)
+    if packed is None:
+        _fault(scenes, feature_dims)
+    centers = packed[1]
+    if not (centers.min() >= 0.0 and centers.max() <= 1.0):  # a NaN fails it too
+        x, y = centers[~((centers >= 0.0) & (centers <= 1.0)).all(axis=1)][0]
+        raise DataError(f"branch {next(iter(feature_dims))!r}: box center out of [0, 1]: "
+                        f"({x}, {y})")
+    return packed
 
 
 def _joined(arrays) -> np.ndarray:
@@ -226,36 +208,41 @@ def _joined(arrays) -> np.ndarray:
     return np.concatenate(arrays, dtype=np.float64)
 
 
-def _pack(batch, feature_dims):
-    """pack_inputs' packing and its shape checks: ({branch: BranchInput},
-    sizes, [(branch, centers)] for each distinct packed centers array and the
-    first branch that reads it), or None when a scene lacks a branch or an
-    array has the wrong shape. Each check runs once per batch: a packed array
-    of the right shape and the lists of per-scene row counts cover every
-    scene."""
-    scenes = batch.scenes if isinstance(batch, SceneBatch) else None
-    sizes, packed, by_parts = None, {}, {}
+def _pack(scenes, feature_dims):
+    """pack_inputs' packing and its shape checks, or None when a scene lacks
+    a branch or an array has the wrong shape. Each check runs once per
+    batch: a packed array of the right shape and the lists of per-scene row
+    counts cover every scene."""
     try:
+        parts = [s.centers for s in scenes]
+        rows = list(map(len, parts))
+        centers = _joined(parts)
+        features = {}
         for b, dim in feature_dims.items():
-            if scenes is None:
-                parts = [inputs[b] for inputs in batch]
-                feats, centers = [p.features for p in parts], [p.centers for p in parts]
-            else:
-                feats, centers = [s.features[b] for s in scenes], [s.centers for s in scenes]
-            key = tuple(map(id, centers))  # batch keeps every part alive, so ids are unique
-            rows = list(map(len, feats))
-            f = _joined(feats)
-            c = by_parts[key][1] if key in by_parts else _joined(centers)
-            if (f.ndim != 2 or f.shape[1] != dim or c.shape != (f.shape[0], 2) or min(rows) < 1
-                    or (sizes is not None and rows != sizes) or list(map(len, centers)) != rows):
+            feats = [s.features[b] for s in scenes]
+            f = features[b] = _joined(feats)
+            if f.ndim != 2 or f.shape[1] != dim or list(map(len, feats)) != rows:
                 return None
-            sizes = rows
-            # one mapping's BranchInput already holds the arrays packing makes
-            packed[b] = parts[0] if scenes is None and len(parts) == 1 else BranchInput(f, c)
-            by_parts.setdefault(key, (b, packed[b].centers))
     except (KeyError, TypeError, ValueError):  # no such branch, a 0-d array, ndims that differ
         return None
-    return packed, tuple(sizes), by_parts.values()
+    if centers.shape != (len(f), 2) or min(rows) < 1:
+        return None
+    return features, centers, tuple(rows)
+
+
+def _fault(scenes, feature_dims):
+    """Raise the error of the first scene that does not pack: a missing branch,
+    or what BranchInput raises on its arrays, or a wrong feature width."""
+    for s in scenes:
+        missing = [b for b in feature_dims if b not in s.features]
+        if missing:
+            raise DataError(f"scene is missing branches {missing}, has {sorted(s.features)}")
+        for b, dim in feature_dims.items():
+            width = BranchInput(s.features[b], s.centers).features.shape[1]
+            if width != dim:
+                raise ShapeError(f"branch {b!r} expects feature_dim {dim}, got {width}")
+    # each scene's arrays convert alone, but not together (str arrays, say)
+    raise ShapeError("batch arrays do not pack")
 
 
 def checked(pred: Prediction) -> Prediction:
@@ -323,16 +310,16 @@ def _read_out(x: Tensor, w, layout: SetLayout, mode, rng, record_attention) -> P
                       tuple(layout.sizes.tolist()))
 
 
-def _embedded(inp: BranchInput, w: BranchWeights, codes) -> Tensor:
+def _embedded(features: np.ndarray, centers: np.ndarray, w: BranchWeights, codes) -> Tensor:
     """A branch's embedded actor rows, with its position codes added before or
     after the embedding as its config says. codes: see apply_pe."""
     cfg = w.cfg
-    x = _checked_features(inp.features)
+    x = _checked_features(features)
     if cfg.use_pe and cfg.pe_stage == PE_PRE_EMBED:
-        x = apply_pe(x, inp.centers, cfg.pe_scale, codes)
+        x = apply_pe(x, centers, cfg.pe_scale, codes)
     x = embed(x, w.embed_w, w.embed_b)
     if cfg.use_pe and cfg.pe_stage == PE_POST_EMBED:
-        x = apply_pe(x, inp.centers, cfg.pe_scale, codes)
+        x = apply_pe(x, centers, cfg.pe_scale, codes)
     return x
 
 
@@ -350,13 +337,29 @@ def forward_branch(inp: BranchInput, w: BranchWeights, mode=MODE_INFER, rng=None
         return one_scene(forward_branch(inp, w, mode, rng, record_attention,
                                         (inp.features.shape[0],)))
     layout = SetLayout.of(sizes, inp.features.shape[0])
-    return _read_out(_embedded(inp, w, None), w, layout, mode, rng, record_attention)
+    return _read_out(_embedded(inp.features, inp.centers, w, None), w, layout, mode, rng,
+                     record_attention)
+
+
+def _forward(self, inputs: Mapping[str, BranchInput], mode=MODE_INFER, rng=None,
+             record_attention=False) -> Prediction:
+    """Every model's forward: one scene, given as a {branch: BranchInput}
+    mapping, run as a batch of one. Its centers are those of the branches the
+    model reads, which must hold the same values, else DataError names two."""
+    read = [b for b in self.branches if b in inputs]
+    centers = inputs[read[0]].centers if read else None
+    for b in read[1:]:
+        if inputs[b].centers is not centers and not np.array_equal(inputs[b].centers, centers):
+            raise DataError(f"branches {read[0]!r} and {b!r} hold different box centers")
+    scene = SimpleNamespace(features={b: inp.features for b, inp in inputs.items()},
+                            centers=centers)
+    return one_scene(self.forward_batch([scene], mode, rng, record_attention))
 
 
 def _stacked(members) -> SimpleNamespace:
     """BranchWeights of one config apart from feature_dim as one object of the
     same names, whose every weight past the embedding is stacked over the
-    members: the weights of a grouped pass."""
+    members: the weights of late fusion's grouped pass."""
     data = not recording()  # an untaped pass stacks the weights' arrays
 
     def stacked(tensors):
@@ -385,6 +388,7 @@ class BranchModel:
 
     def __init__(self, branch: str, cfg: BranchConfig, rng):
         self.branch = branch
+        self.branches = [branch]
         self.cfg = cfg
         self.weights = BranchWeights(cfg, rng)
 
@@ -392,15 +396,13 @@ class BranchModel:
     def encoder(self):
         return self.weights.encoder
 
-    def forward(self, inputs: Mapping[str, BranchInput], mode=MODE_INFER, rng=None,
-                record_attention=False) -> Prediction:
-        return one_scene(self.forward_batch([inputs], mode, rng, record_attention))
+    forward = _forward
 
-    def forward_batch(self, batch: Sequence[Mapping[str, BranchInput]], mode=MODE_INFER,
-                      rng=None, record_attention=False) -> Prediction:
-        packed, sizes = pack_inputs(batch, {self.branch: self.cfg.feature_dim})
-        return checked(forward_branch(packed[self.branch], self.weights, mode, rng,
-                                      record_attention, sizes))
+    def forward_batch(self, scenes: Sequence, mode=MODE_INFER, rng=None,
+                      record_attention=False) -> Prediction:
+        feats, centers, sizes = pack_inputs(scenes, {self.branch: self.cfg.feature_dim})
+        return checked(forward_branch(BranchInput(feats[self.branch], centers), self.weights,
+                                      mode, rng, record_attention, sizes))
 
     def parameters(self):
         return self.weights.parameters()
@@ -450,19 +452,17 @@ class EarlyFusionModel:
     def kind(self):
         return "early-" + self.combine
 
-    def forward(self, inputs: Mapping[str, BranchInput], mode=MODE_INFER, rng=None,
-                record_attention=False) -> Prediction:
-        return one_scene(self.forward_batch([inputs], mode, rng, record_attention))
+    forward = _forward
 
-    def forward_batch(self, batch: Sequence[Mapping[str, BranchInput]], mode=MODE_INFER,
-                      rng=None, record_attention=False) -> Prediction:
-        packed, sizes = pack_inputs(batch, self.feature_dims)
+    def forward_batch(self, scenes: Sequence, mode=MODE_INFER, rng=None,
+                      record_attention=False) -> Prediction:
+        feats, centers, sizes = pack_inputs(scenes, self.feature_dims)
         embedded, codes = [], {}
         for b in self.branches:
             w, bias = self.embeds[b]
-            e = embed(_checked_features(packed[b].features), w, bias)
+            e = embed(_checked_features(feats[b]), w, bias)
             if self.cfg.use_pe and self.early_pe == EARLY_PE_PER_BRANCH:
-                e = apply_pe(e, packed[b].centers, self.cfg.pe_scale, codes)
+                e = apply_pe(e, centers, self.cfg.pe_scale, codes)
             embedded.append(e)
         if self.combine == "sum":
             x = embedded[0]
@@ -471,7 +471,7 @@ class EarlyFusionModel:
         else:
             x = matmul(concat_last_dim(embedded), self.proj)
         if self.cfg.use_pe and self.early_pe == EARLY_PE_AFTER_FUSION:
-            x = apply_pe(x, packed[self.branches[0]].centers, self.cfg.pe_scale, codes)
+            x = apply_pe(x, centers, self.cfg.pe_scale, codes)
         layout = SetLayout.of(sizes, x.shape[0])
         return checked(_read_out(x, self, layout, mode, rng, record_attention))
 
@@ -493,8 +493,8 @@ class LateFusionModel:
 
     Each branch keeps its own fully trained model; this wrapper softmaxes
     every branch's logits and sums them with the normalised mixing weights.
-    groups lists the runs of consecutive branches whose configs differ at
-    most in feature_dim; a pass runs each group as one grouped pass.
+    The members' configs may differ only in feature_dim, so a pass runs them
+    all as one grouped pass.
     """
 
     kind = "late"
@@ -504,11 +504,13 @@ class LateFusionModel:
             raise ConfigError(f"late fusion needs at least 2 branches, got {sorted(models)}")
         self.branches = sorted(models)
         self.models = {b: models[b] for b in self.branches}
-        ref = self.models[self.branches[0]].cfg
+        first = self.branches[0]
+        ref = vars(self.models[first].cfg)
         for b in self.branches[1:]:
-            cfg = self.models[b].cfg
-            if (cfg.num_actions, cfg.num_activities) != (ref.num_actions, ref.num_activities):
-                raise ConfigError(f"branch {b!r} disagrees on class counts")
+            for name, value in vars(self.models[b].cfg).items():
+                if name != "feature_dim" and value != ref[name]:
+                    raise ConfigError(f"branch {b!r} differs from {first!r} in {name}: "
+                                      f"{value!r}, not {ref[name]!r}")
         raw = dict(DEFAULT_LATE_WEIGHTS) if weights is None else dict(weights)
         for b in self.branches:
             if b not in raw:
@@ -517,39 +519,31 @@ class LateFusionModel:
                 raise ConfigError(f"fusion weight for {b!r} must be finite and positive, got {raw[b]}")
         total = sum(raw[b] for b in self.branches)
         self.weights = {b: raw[b] / total for b in self.branches}
-        self.groups = [list(group) for _, group in groupby(
-            self.branches, lambda b: {**vars(self.models[b].cfg), "feature_dim": None})]
 
-    def forward(self, inputs: Mapping[str, BranchInput], mode=MODE_INFER, rng=None,
-                record_attention=False) -> Prediction:
-        return one_scene(self.forward_batch([inputs], mode, rng, record_attention))
+    forward = _forward
 
-    def forward_batch(self, batch: Sequence[Mapping[str, BranchInput]], mode=MODE_INFER,
-                      rng=None, record_attention=False) -> Prediction:
-        packed, sizes = pack_inputs(batch, {b: self.models[b].cfg.feature_dim for b in self.branches})
-        rows, codes = sum(sizes), {}
-        action_mix = activity_mix = None
-        attention = [{} for _ in sizes] if record_attention else None
-        for group in self.groups:
-            members = [self.models[b].weights for b in group]
-            w = _stacked(members)
-            x = stack([_embedded(packed[b], m, codes) for b, m in zip(group, members)])
-            draws = rng
-            if mode == MODE_TRAIN and isinstance(rng, np.random.Generator):
-                # one member's masks after another's, as their own passes draw them
-                draws = DropoutDraws(rng, [rows] * len(group), dropout_widths(w.encoder))
-            layout = SetLayout.of(sizes * len(group), rows * len(group))
-            pred = checked(_read_out(x, w, layout, mode, draws, record_attention))
-            wgts = [self.weights[b] for b in group]
-            action_mix = weighted_sum(softmax_rows(unbox(pred.action_logits)), wgts, action_mix)
-            activity_mix = weighted_sum(softmax_rows(unbox(pred.activity_logits)), wgts,
-                                        activity_mix)
-            if record_attention:  # the group's records, member after member
-                recs = pred.attention or [None] * (len(group) * len(sizes))  # None: no encoder
-                for j, b in enumerate(group):
-                    for scene, rec in zip(attention, recs[j * len(sizes):]):
-                        scene[b] = rec
-        # every group's logits passed checked(); mixing their softmaxes stays finite
+    def forward_batch(self, scenes: Sequence, mode=MODE_INFER, rng=None,
+                      record_attention=False) -> Prediction:
+        members = [self.models[b].weights for b in self.branches]
+        feats, centers, sizes = pack_inputs(
+            scenes, {b: m.cfg.feature_dim for b, m in zip(self.branches, members)})
+        w, codes = _stacked(members), {}
+        x = stack([_embedded(feats[b], centers, m, codes) for b, m in zip(self.branches, members)])
+        rows, count = sum(sizes), len(members)
+        draws = rng
+        if mode == MODE_TRAIN and isinstance(rng, np.random.Generator):
+            # one member's masks after another's, as their own passes draw them
+            draws = DropoutDraws(rng, [rows] * count, dropout_widths(w.encoder))
+        layout = SetLayout.of(sizes * count, rows * count)
+        pred = checked(_read_out(x, w, layout, mode, draws, record_attention))
+        mix = [self.weights[b] for b in self.branches]
+        action_mix = weighted_sum(softmax_rows(unbox(pred.action_logits)), mix)
+        activity_mix = weighted_sum(softmax_rows(unbox(pred.activity_logits)), mix)
+        attention = None
+        if record_attention:  # the records run member after member, scene after scene
+            recs = pred.attention or [None] * (count * len(sizes))  # None: no encoder
+            attention = [dict(zip(self.branches, recs[i::len(sizes)])) for i in range(len(sizes))]
+        # the logits passed checked(); mixing their softmaxes stays finite
         return Prediction(box(action_mix), box(activity_mix), attention, sizes)
 
     def parameters(self):
@@ -563,20 +557,3 @@ def branch_inputs(scene) -> dict:
     """View a generated scene as the per-branch inputs the models consume."""
     return {name: BranchInput(feats, scene.centers) for name, feats in scene.features.items()}
 
-
-class SceneBatch:
-    """Scenes (with .features and .centers, as ActorScene has them) as a batch
-    for forward_batch. pack_inputs packs it straight from the scenes' arrays;
-    read as a sequence, it holds each scene's branch_inputs."""
-
-    def __init__(self, scenes):
-        self.scenes = list(scenes)
-
-    def __len__(self):
-        return len(self.scenes)
-
-    def __getitem__(self, i: int):
-        return branch_inputs(self.scenes[i])
-
-    def __iter__(self):
-        return map(branch_inputs, self.scenes)

@@ -19,6 +19,8 @@ into a (G, ...) tensor (see stack). matmul, add, layer_norm, softmax_rows
 and concat_last_dim work group by group; set_attention and max_over_sets
 see the G groups as G * B sets, so their layout is the batch's sizes tiled
 G times. Each group's values are the bits its model's own 2-d pass makes.
+Late fusion runs its members as one grouped pass and mixes their class
+probabilities over the group axis with weighted_sum.
 
 An op whose first operand is a plain ndarray, called while no train-mode
 Graph records, computes untaped: it runs the same shape checks and
@@ -590,25 +592,23 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _result(y, tape, vjp)
 
 
-def weighted_sum(a: Tensor, weights, start: Tensor | None = None) -> Tensor:
-    """start + weights[0] * a[0] + weights[1] * a[1] + ... over a's leading
-    axis, added one term at a time from the left (without start, from the
-    first term). Late fusion mixes its members' class probabilities with it,
-    a group at a time, in the bits of mixing them member by member."""
-    (ad, *sd), tape = _operands(a) if start is None else _operands(a, start)
+def weighted_sum(a: Tensor, weights) -> Tensor:
+    """weights[0] * a[0] + weights[1] * a[1] + ... over a's leading axis,
+    added one term at a time from the left. Late fusion mixes its members'
+    class probabilities with it, in the bits of mixing them member by
+    member."""
+    (ad,), tape = _operands(a)
     weights = [float(w) for w in weights]
-    if not weights or len(weights) != len(ad) or (sd and sd[0].shape != ad.shape[1:]):
-        raise ShapeError(f"weighted_sum: {len(weights)} weights for shape {ad.shape}"
-                         + (f" and start {sd[0].shape}" if sd else ""))
-    out = sd[0] if sd else None
-    for x, c in zip(ad, weights):
-        out = x * c if out is None else out + x * c
+    if not weights or len(weights) != len(ad):
+        raise ShapeError(f"weighted_sum: {len(weights)} weights for shape {ad.shape}")
+    out = ad[0] * weights[0]
+    for x, c in zip(ad[1:], weights[1:]):
+        out = out + x * c
     if tape is None:
         return out
 
     def vjp(g):
-        da = np.multiply.outer(weights, g)  # slice i is g * weights[i]
-        return (da, g) if sd else (da,)
+        return (np.multiply.outer(weights, g),)  # slice i is g * weights[i]
 
     return _result(out, tape, vjp)
 

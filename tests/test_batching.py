@@ -6,6 +6,8 @@ the per-scene forward within 1e-12 relative: logits, attention records and
 every parameter's gradient, on ragged batches that include 1-actor scenes.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -67,18 +69,18 @@ MODELS = {
     "pre-embed-pe": lambda rng: BranchModel("b", _cfg(pe_stage="pre-embed"), rng),
     "no-encoder": lambda rng: BranchModel("a", _cfg(feature_dim=8, use_encoder=False), rng),
     "late": lambda rng: LateFusionModel({"a": BranchModel("a", _cfg(feature_dim=8), rng),
-                                         "b": BranchModel("b", _cfg(num_heads=1), rng)},
+                                         "b": BranchModel("b", _cfg(), rng)},
                                         {"a": 2.0, "b": 1.0}),
 }
 
 
 def _batch(rng, sizes):
-    """Per-scene inputs of every branch plus labels."""
+    """Scenes of every branch plus labels."""
     batch, activities, actions = [], [], []
     for n in sizes:
         centers = rng.random((n, 2))
-        batch.append({b: BranchInput(rng.standard_normal((n, f)), centers)
-                      for b, f in DIMS.items()})
+        batch.append(SimpleNamespace(
+            features={b: rng.standard_normal((n, f)) for b, f in DIMS.items()}, centers=centers))
         activities.append(int(rng.integers(4)))
         actions.append(rng.integers(3, size=n))
     return batch, activities, actions
@@ -119,7 +121,8 @@ def test_infer_passes_run_untaped_with_the_taped_bits(kind, record, monkeypatch)
 
     def passes(mode):
         return ([model.forward_batch(batch, mode, record_attention=record)]
-                + [model.forward(inputs, mode, record_attention=record) for inputs in batch])
+                + [model.forward(branch_inputs(s), mode, record_attention=record)
+                   for s in batch])
 
     with Graph(MODE_TRAIN) as g:  # dropout is 0, so the train-mode pass computes the same
         taped = passes(MODE_TRAIN)
@@ -152,8 +155,8 @@ def test_forward_batch_matches_per_scene_forward(kind, sizes):
     assert packed.sizes == sizes
     groups, acts = predict(packed)
     rows = np.cumsum((0,) + sizes)
-    for i, inputs in enumerate(batch):
-        one = model.forward(inputs, MODE_INFER, record_attention=True)
+    for i, scene in enumerate(batch):
+        one = model.forward(branch_inputs(scene), MODE_INFER, record_attention=True)
         assert _gap(packed.action_logits.data[rows[i]:rows[i + 1]], one.action_logits.data) <= RTOL
         assert _gap(packed.activity_logits.data[i], one.activity_logits.data) <= RTOL
         got = _records(None if packed.attention is None else packed.attention[i])
@@ -170,8 +173,8 @@ def test_forward_batch_matches_per_scene_forward(kind, sizes):
 
     def per_scene():
         total = None
-        for inputs, g, a in zip(batch, activities, actions):
-            term = joint_loss(model.forward(inputs, MODE_TRAIN), g, a)
+        for scene, g, a in zip(batch, activities, actions):
+            term = joint_loss(model.forward(branch_inputs(scene), MODE_TRAIN), g, a)
             total = term if total is None else total + term
         return mul(total, 1.0 / len(batch))
 
@@ -347,7 +350,7 @@ def _member_mix(model, batch, mode=MODE_INFER, rng=None):
 def test_late_fusion_packs_once_and_matches_its_members_bit_for_bit(pe, sizes):
     rng = np.random.default_rng(5)
     model = LateFusionModel({"a": BranchModel("a", _cfg(feature_dim=8, **pe), rng),
-                             "b": BranchModel("b", _cfg(num_heads=1, **pe), rng)},
+                             "b": BranchModel("b", _cfg(**pe), rng)},
                             {"a": 2.0, "b": 1.0})
     batch, _, _ = _batch(np.random.default_rng(6), sizes)
     got = model.forward_batch(batch, MODE_INFER, record_attention=True)
@@ -358,7 +361,7 @@ def test_late_fusion_packs_once_and_matches_its_members_bit_for_bit(pe, sizes):
     for b in model.branches:
         for i in range(len(sizes)):
             want = _records(recs[b][i])
-            assert len(want) == 2 * (2 if b == "a" else 1)  # layers x heads
+            assert len(want) == 2 * 2  # layers x heads
             assert [m.tobytes() for m in _records(got.attention[i][b])] == \
                 [m.tobytes() for m in want]
 
@@ -369,15 +372,16 @@ def test_branches_reading_the_same_centers_share_one_position_code_table(monkeyp
                                                                          shared):
     model = MODELS[kind](np.random.default_rng(1))
     batch, _, _ = _batch(np.random.default_rng(7), RAGGED)
-    if not shared:
-        batch = [{b: BranchInput(inp.features, inp.centers.copy()) for b, inp in s.items()}
-                 for s in batch]
     want = model.forward_batch(batch, MODE_INFER)
     calls = []
     monkeypatch.setattr(posenc, "pe_table", lambda *args: calls.append(args) or pe_table(*args))
     got = model.forward_batch(batch, MODE_INFER)
-    assert len(calls) == (1 if shared else len(DIMS))
+    assert len(calls) == 1
     assert got.activity_logits.data.tobytes() == want.activity_logits.data.tobytes()
+    # a mapping's branches may hold one centers array or equal copies of it
+    inputs = branch_inputs(batch[0])
+    if not shared:
+        inputs = {b: BranchInput(inp.features, inp.centers.copy()) for b, inp in inputs.items()}
     calls.clear()
-    model.forward(batch[0], MODE_INFER)
-    assert len(calls) == (1 if shared else len(DIMS))
+    model.forward(inputs, MODE_INFER)
+    assert len(calls) == 1

@@ -11,7 +11,7 @@ from groupact.checkpoint import (
     write_checkpoint,
 )
 from groupact.cli import main
-from groupact.errors import ParseError
+from groupact.errors import DataError, ParseError
 from groupact.model import BranchConfig, BranchModel, EarlyFusionModel, LateFusionModel
 from groupact.seeding import rng_for
 
@@ -157,6 +157,16 @@ def _branch(tmp_path):
     return path
 
 
+@pytest.mark.parametrize("name", ["embed_b", "optim/step"])
+def test_extra_tensor_name_used_twice_is_refused_before_writing(tmp_path, name):
+    path = tmp_path / "model.ckpt"
+    model = BranchModel("static", _cfg(), rng_for(6, "init"))
+    slots = [("optim/step", np.array(17.0)), (name, np.zeros(8))]
+    with pytest.raises(DataError, match=f"^tensor name '{name}' is used twice$"):
+        save_model(path, model, extra_tensors=slots)
+    assert list(tmp_path.iterdir()) == []
+
+
 def _early(tmp_path):
     path = tmp_path / "early.ckpt"
     save_model(path, EarlyFusionModel("concat", {"rgb": 4, "static": 8}, _cfg(),
@@ -193,6 +203,7 @@ _BAD_METADATA = [
     (_late, "late_weight.a", "-1"),
     (_late, "branches", "a"),
     (_late, "cfg.b.num_heads", None),
+    (_late, "cfg.b.dropout", "0.5"),  # LateFusionModel: members differ beyond feature_dim
     # values that decode, but not from the one text a save writes for them
     (_branch, "iteration", "1_0"),
     (_branch, "cfg.use_pe", "7"),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from groupact.checkpoint import load_model
+import groupact.cli as cli
 from groupact.cli import _parser, main
 from groupact.evaluation import read_report
 from groupact.scenes import load_dataset
@@ -430,3 +431,19 @@ def test_out_naming_a_file_is_an_error(tmp_path, capsys, command, under):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {out}: ") and "Traceback" not in err
     assert taken.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command, spied", [("generate", "generate"), ("ablate", "train")])
+def test_unusable_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command, spied,
+                                                  under):
+    cfg = _write_cfg(tmp_path, "run.cfg", "total_iterations = 2\n")
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    out = taken / "sub" if under else taken
+    calls, real = [], getattr(cli, spied)
+    monkeypatch.setattr(cli, spied, lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    reason = "Not a directory" if under else "File exists"
+    assert capsys.readouterr().err == f"error: {out}: {reason}\n"
+    assert calls == [] and taken.read_text() == "keep\n"

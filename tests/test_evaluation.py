@@ -12,7 +12,7 @@ from groupact.evaluation import (
     read_report,
     write_report,
 )
-from groupact.model import Prediction
+from groupact.model import Prediction, branch_inputs
 from groupact.scenes import SceneConfig, generate
 from groupact.tensor import Tensor
 
@@ -42,7 +42,7 @@ class OracleModel:
         return Prediction(Tensor(action_logits), Tensor(activity_logits))
 
     def forward_batch(self, batch, mode=None, rng=None, record_attention=False):
-        preds = [self.forward(inputs) for inputs in batch]
+        preds = [self.forward(branch_inputs(scene)) for scene in batch]
         return Prediction(Tensor(np.concatenate([p.action_logits.data for p in preds])),
                           Tensor(np.stack([p.activity_logits.data for p in preds])),
                           sizes=tuple(p.action_logits.shape[0] for p in preds))

@@ -1,17 +1,19 @@
 """Late fusion's grouped pass against its members run one by one.
 
-LateFusionModel runs each run of consecutive members that share a config
-apart from feature_dim as one pass over a leading group axis. These tests
+LateFusionModel's members share a config apart from feature_dim, and it
+runs them all as one pass over a leading group axis. These tests
 hold it to the members' own passes, mixed by the same ops (see
 test_batching._member_mix), byte for byte: outputs, attention records,
 dropout masks and gradients.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from groupact.errors import NumericsError, ShapeError
-from groupact.model import BranchConfig, BranchInput, BranchModel, LateFusionModel, Prediction
+from groupact.errors import ConfigError, NumericsError, ShapeError
+from groupact.model import BranchConfig, BranchModel, LateFusionModel, Prediction
 from groupact.tensor import (
     MODE_INFER,
     MODE_TRAIN,
@@ -42,21 +44,15 @@ def _cfg(feature_dim, **kw):
 
 
 def _model(dims, rng, weights=None, **kw):
-    """Late fusion over branches {name: feature_dim}; kw applies to every member,
-    or per branch when given as {name: {...}}."""
-    per_branch = kw.pop("per_branch", {})
-    members = {b: BranchModel(b, _cfg(f, **{**kw, **per_branch.get(b, {})}), rng)
-               for b, f in dims.items()}
+    """Late fusion over branches {name: feature_dim}; kw applies to every member."""
+    members = {b: BranchModel(b, _cfg(f, **kw), rng) for b, f in dims.items()}
     return LateFusionModel(members, weights or {b: float(i + 1) for i, b in enumerate(dims)})
 
 
 def _batch(rng, sizes, dims):
-    batch = []
-    for n in sizes:
-        centers = rng.random((n, 2))
-        batch.append({b: BranchInput(rng.standard_normal((n, f)), centers)
-                      for b, f in dims.items()})
-    return batch
+    return [SimpleNamespace(centers=rng.random((n, 2)),
+                            features={b: rng.standard_normal((n, f)) for b, f in dims.items()})
+            for n in sizes]
 
 
 def _same_bits(got, want):
@@ -89,21 +85,20 @@ THREE = {"a": 8, "b": 12, "c": 16}
                          ids=["post-embed", "pre-embed", "no-codes", "no-encoder"])
 def test_grouped_pass_matches_the_members_bit_for_bit(dims, sizes, kw):
     model = _model(dims, np.random.default_rng(3), **kw)
-    assert model.groups == [list(dims)]
     _assert_matches_members(model, _batch(np.random.default_rng(4), sizes, dims), sizes)
 
 
-def test_members_of_one_shape_apart_in_branch_order_run_in_groups_of_their_own():
-    # a and c share a config apart from feature_dim, but b sits between them
-    model = _model(THREE, np.random.default_rng(5), per_branch={"b": dict(d_ff=24)})
-    assert model.groups == [["a"], ["b"], ["c"]]
-    _assert_matches_members(model, _batch(np.random.default_rng(6), RAGGED, THREE), RAGGED)
-    # a group of two between two of one: its mix continues the first group's
-    dims = {"a": 8, "b": 12, "c": 16, "d": 4}
-    model = _model(dims, np.random.default_rng(5),
-                   per_branch={"a": dict(num_heads=1), "d": dict(d_ff=24)})
-    assert model.groups == [["a"], ["b", "c"], ["d"]]
-    _assert_matches_members(model, _batch(np.random.default_rng(6), RAGGED, dims), RAGGED)
+@pytest.mark.parametrize("field, value", [("d_ff", 24), ("num_heads", 1), ("use_pe", False),
+                                          ("pe_stage", "pre-embed"), ("num_activities", 5)])
+def test_members_whose_configs_differ_beyond_feature_dim_are_refused(field, value):
+    rng = np.random.default_rng(5)
+    members = {b: BranchModel(b, _cfg(f, **({field: value} if b == "b" else {})), rng)
+               for b, f in THREE.items()}
+    was = getattr(members["a"].cfg, field)
+    message = f"branch 'b' differs from 'a' in {field}: {value!r}, not {was!r}"
+    with pytest.raises(ConfigError) as err:
+        LateFusionModel(members)
+    assert str(err.value) == message
 
 
 def test_train_mode_with_a_generator_draws_each_members_masks():
@@ -189,19 +184,19 @@ def test_grouped_ops_match_their_2d_ops_per_group_and_gradcheck():
 
     def grouped():
         mix = weighted_sum(pooled(stack(xs), stack(ws), stack(bs), stack(gs), sizes * 2),
-                           [0.25, 0.75], probe)
+                           [0.25, 0.75])
         return sum_all(mul(mix, probe))
 
     def per_group():
         parts = [mul(pooled(*p, sizes), c) for p, c in zip(zip(xs, ws, bs, gs), [0.25, 0.75])]
-        return sum_all(mul(add(add(probe, parts[0]), parts[1]), probe))
+        return sum_all(mul(add(parts[0], parts[1]), probe))
 
     (loss_g, grads_g, _), (loss_p, grads_p, _) = (_grads(params, f) for f in (grouped, per_group))
     assert loss_g == loss_p
     for name, g in grads_p.items():
         assert _same_bits(grads_g[name], g), name
     # stack and weighted_sum against central differences, away from any kink
-    check_gradients(lambda: sum_all(mul(weighted_sum(stack(xs), [0.25, 0.75], xs[0]), xs[1])),
+    check_gradients(lambda: sum_all(mul(weighted_sum(stack(xs), [0.25, 0.75]), xs[1])),
                     params[:2])
     with pytest.raises(ShapeError):
         stack([xs[0], ws[0]])

@@ -1,4 +1,5 @@
 import contextlib
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -33,8 +34,9 @@ def _cfg(**kw):
     return BranchConfig(**base)
 
 
-def _scene_input(rng, n=5, f=8):
-    return BranchInput(rng.standard_normal((n, f)), rng.random((n, 2)))
+def _scene_input(rng, n=5, f=8, centers=None):
+    return BranchInput(rng.standard_normal((n, f)),
+                       rng.random((n, 2)) if centers is None else centers)
 
 
 def test_branch_config_validation():
@@ -159,7 +161,7 @@ def test_early_sum_with_zeroed_branch_matches_single():
 def test_early_fusion_rejects_mismatched_actor_counts():
     fused = EarlyFusionModel("sum", {"a": 8, "b": 8}, _cfg(), np.random.default_rng(9))
     rng = np.random.default_rng(10)
-    with pytest.raises(ShapeError):
+    with pytest.raises(DataError, match="^branches 'a' and 'b' hold different box centers$"):
         fused.forward({"a": _scene_input(rng, n=5), "b": _scene_input(rng, n=4)})
 
 
@@ -222,7 +224,8 @@ def test_late_fusion_two_to_one_mixture():
     assert late.weights == {"a": 2 / 3, "b": 1 / 3}
 
     rng = np.random.default_rng(17)
-    inputs = {"a": _scene_input(rng, n=4), "b": _scene_input(rng, n=4)}
+    inp = _scene_input(rng, n=4)
+    inputs = {"a": inp, "b": _scene_input(rng, n=4, centers=inp.centers)}
     mixed = late.forward(inputs)
 
     def softmax(z):
@@ -246,7 +249,8 @@ def test_late_fusion_outputs_are_distributions():
         {"a": 3.0, "b": 2.0},
     )
     rng = np.random.default_rng(20)
-    pred = late.forward({"a": _scene_input(rng, n=6), "b": _scene_input(rng, n=6)})
+    inp = _scene_input(rng, n=6)
+    pred = late.forward({"a": inp, "b": _scene_input(rng, n=6, centers=inp.centers)})
     assert (pred.action_logits.data >= 0).all()
     npt.assert_allclose(pred.action_logits.data.sum(axis=1), np.ones(6), atol=1e-12)
     npt.assert_allclose(pred.activity_logits.data.sum(), 1.0, atol=1e-12)
@@ -303,12 +307,17 @@ def test_non_finite_features_raise_numerics_error(kind, bad):
     # untaped passes check nothing inside, so the features are checked where a pass starts
     model = _model_of(kind)
     rng = np.random.default_rng(23)
-    good, poisoned = _scene_input(rng), _scene_input(rng)
+    good = _scene_input(rng)
+    poisoned = _scene_input(rng, centers=good.centers)
     poisoned.features[3, 1] = bad
     scene = {"a": poisoned, "b": good}
+    batch = [SimpleNamespace(features={"a": good.features, "b": good.features},
+                             centers=good.centers),
+             SimpleNamespace(features={"a": poisoned.features, "b": good.features},
+                             centers=good.centers)]
     for mode, graph in ((MODE_INFER, contextlib.nullcontext()), (MODE_TRAIN, Graph(MODE_TRAIN))):
         with graph:
             with pytest.raises(NumericsError, match="features"):
                 model.forward(scene, mode)
             with pytest.raises(NumericsError, match="features"):
-                model.forward_batch([{"a": good, "b": good}, scene], mode)
+                model.forward_batch(batch, mode)

@@ -1,10 +1,13 @@
 """Batches packed straight from scenes, and untaped set pooling.
 
-pack_inputs packs a SceneBatch from the scenes' own arrays, with its checks
-run once per batch. These tests hold it to pack_inputs over each scene's
-branch_inputs: the same arrays byte for byte, and on a malformed scene the
-same exception type and message. Untaped max_over_sets takes each set's max
-without the argmax winners, and must give the taped output bit for bit.
+pack_inputs packs scenes from their own arrays, with its checks run once per
+batch. These tests hold it to the arrays each scene's branch_inputs holds,
+byte for byte, and on a malformed scene to the exception type and message
+that packing raised when a batch could also be a list of branch_inputs
+mappings. forward, which takes one scene as a branch_inputs mapping, must
+give the bits of a batch of that one scene. Untaped max_over_sets takes each
+set's max without the argmax winners, and must give the taped output bit for
+bit.
 """
 
 import dataclasses
@@ -12,7 +15,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from groupact.errors import ShapeError
+from groupact.errors import DataError, ShapeError
 from groupact.evaluation import evaluate_model
 from groupact.model import (
     BranchConfig,
@@ -20,7 +23,6 @@ from groupact.model import (
     BranchModel,
     EarlyFusionModel,
     LateFusionModel,
-    SceneBatch,
     branch_inputs,
     pack_inputs,
 )
@@ -44,23 +46,19 @@ def _outcome(pack):
         return type(exc), str(exc)
 
 
-def _both(scenes, dims):
-    old = _outcome(lambda: pack_inputs([branch_inputs(s) for s in scenes], dims))
-    new = _outcome(lambda: pack_inputs(SceneBatch(scenes), dims))
-    return old, new
-
-
-def _assert_same_packing(old, new, dims):
-    (old_inputs, old_sizes), (new_inputs, new_sizes) = old, new
-    assert new_sizes == old_sizes and type(new_sizes) is tuple
-    assert list(new_inputs) == list(old_inputs) == list(dims)
-    for b in dims:
-        for name in ("features", "centers"):
-            a, c = getattr(old_inputs[b], name), getattr(new_inputs[b], name)
-            assert (c.dtype, c.shape, c.flags.c_contiguous) == (a.dtype, a.shape, True)
-            assert c.tobytes() == a.tobytes()
-    # every branch reads the scenes' one centers array, so all share one packing
-    assert len({id(new_inputs[b].centers) for b in dims}) == 1
+def _assert_packs_branch_inputs(scenes, dims):
+    """pack_inputs(scenes) against the arrays of each scene's branch_inputs."""
+    features, centers, sizes = pack_inputs(scenes, dims)
+    views = [branch_inputs(s) for s in scenes]
+    assert sizes == tuple(len(s.centers) for s in scenes) and type(sizes) is tuple
+    assert list(features) == list(dims)
+    wants = [(features[b], [v[b].features for v in views]) for b in dims]
+    for got, parts in wants + [(centers, [v[next(iter(dims))].centers for v in views])]:
+        want = np.concatenate(parts)
+        assert (got.dtype, got.shape, got.flags.c_contiguous) == (want.dtype, want.shape, True)
+        assert got.tobytes() == want.tobytes()
+    if len(scenes) == 1:  # a batch of one is its own packing
+        assert centers is views[0][next(iter(dims))].centers
 
 
 @pytest.mark.parametrize("n_actors, count", [(12, 16), ((3, 16), 23), ((1, 4), 1), (7, 1)],
@@ -68,9 +66,7 @@ def _assert_same_packing(old, new, dims):
 @pytest.mark.parametrize("dims", [THREE, {"dynamic-rgb": 12}, {"static": 8, "dynamic-flow": 4}],
                          ids=["three-branches", "one-branch", "two-branches"])
 def test_scene_packing_equals_branch_inputs_packing(n_actors, count, dims):
-    scenes = _scenes(n_actors, count)
-    old, new = _both(scenes, dims)
-    _assert_same_packing(old, new, dims)
+    _assert_packs_branch_inputs(_scenes(n_actors, count), dims)
 
 
 def _replace_features(scene, branch, feats):
@@ -106,14 +102,40 @@ MALFORMED = {
 }
 
 
+# What packing a scene batch with one malformed scene raised when a batch could
+# also be a list of branch_inputs mappings (and both forms raised the same):
+# the type, and the message with n, the scene's actor count, and y, the
+# second coordinate of its last center, filled in.
+RAISED = {
+    "missing-branch": (DataError, "scene is missing branches ['dynamic-rgb'], "
+                                  "has ['dynamic-flow', 'static']"),
+    "wrong-width": (ShapeError, "branch 'static' expects feature_dim 8, got 5"),
+    "actor-count-mismatch": (ShapeError, "centers must be ({n_less}, 2), got ({n}, 2)"),
+    "1-d-features": (ShapeError, "features must be (n, f), got ({n8},)"),
+    "centers-3-columns": (ShapeError, "centers must be ({n}, 2), got ({n}, 3)"),
+    "centers-too-few-rows": (ShapeError, "centers must be ({n}, 2), got ({n_less}, 2)"),
+    "centers-1-d": (ShapeError, "centers must be ({n}, 2), got ({n2},)"),
+    "zero-actors": (DataError, "a scene needs at least one actor"),
+    "nan-center": (DataError, "branch 'static': box center out of [0, 1]: (nan, {y})"),
+    "center-above-one": (DataError, "branch 'static': box center out of [0, 1]: (1.5, {y})"),
+    "center-below-zero": (DataError, "branch 'static': box center out of [0, 1]: (-0.25, {y})"),
+}
+
+
+def test_the_table_covers_every_fault():
+    assert sorted(RAISED) == sorted(MALFORMED)
+
+
 @pytest.mark.parametrize("fault", sorted(MALFORMED))
 @pytest.mark.parametrize("at, count", [(0, 1), (2, 5), (4, 5)])
 def test_malformed_scene_raises_what_branch_inputs_packing_raises(fault, at, count):
     scenes = _scenes((2, 6), count, seed=3)
+    n, y = scenes[at].n_actors, scenes[at].centers[-1, 1]
+    kind, message = RAISED[fault]
+    want = (kind, message.format(n=n, n_less=n - 1, n2=2 * n, n8=8 * n, y=y))
     scenes[at] = MALFORMED[fault](scenes[at])
-    old, new = _both(scenes, THREE)
-    assert isinstance(old, tuple) and isinstance(old[0], type), f"{fault} packed: {old}"
-    assert new == old
+    assert _outcome(lambda: pack_inputs(scenes, THREE)) == want
+    assert _outcome(lambda: pack_inputs(scenes[at:at + 1], THREE)) == want
 
 
 def test_first_of_several_faults_is_the_one_raised():
@@ -121,9 +143,18 @@ def test_first_of_several_faults_is_the_one_raised():
     scenes[1] = MALFORMED["nan-center"](scenes[1])
     scenes[3] = MALFORMED["actor-count-mismatch"](scenes[3])
     scenes[4] = MALFORMED["1-d-features"](scenes[4])
-    old, new = _both(scenes, THREE)
+    n = scenes[3].n_actors
     # shapes are checked before ranges, and scene 3's short branch disagrees with its centers
-    assert new == old and old[1].startswith("centers must be (")
+    assert _outcome(lambda: pack_inputs(scenes, THREE)) == (
+        ShapeError, f"centers must be ({n - 1}, 2), got ({n}, 2)")
+
+
+def test_arrays_that_convert_only_one_by_one_do_not_pack():
+    scenes = _scenes((2, 6), 3, seed=4)
+    scenes[1] = _replace_features(scenes[1], "static", scenes[1].features["static"].astype(str))
+    _assert_packs_branch_inputs(scenes[1:2], THREE)  # one array converts to float64 ...
+    # ... but concatenating str with float arrays casts unsafely
+    assert _outcome(lambda: pack_inputs(scenes, THREE)) == (ShapeError, "batch arrays do not pack")
 
 
 @pytest.mark.parametrize("field", ["centers", "dynamic-rgb"])
@@ -135,44 +166,32 @@ def test_row_counts_are_checked_scene_by_scene_when_totals_agree(field):
             return dataclasses.replace(scene, centers=rows(scene.centers))
         return _replace_features(scene, field, rows(scene.features[field]))
 
+    n1, n2 = scenes[1].n_actors, scenes[2].n_actors
     scenes[1] = moved(scenes[1], lambda a: np.vstack([a, a[:1]]))  # one row more ...
     scenes[2] = moved(scenes[2], lambda a: a[:-1])  # ... and one fewer
-    old, new = _both(scenes, THREE)
-    assert isinstance(old[0], type) and new == old, old
+    message = (f"centers must be ({n1}, 2), got ({n1 + 1}, 2)" if field == "centers"
+               else f"centers must be ({n1 + 1}, 2), got ({n1}, 2)")
+    assert n2 > 1 and _outcome(lambda: pack_inputs(scenes, THREE)) == (ShapeError, message)
 
 
 @pytest.mark.parametrize("counts", [[(5, 4)], [(5, 4), (3, 4)], [(2, 2), (5, 4), (3, 4)]])
 def test_mappings_whose_branches_disagree_on_actors_are_rejected(counts):
     # each BranchInput agrees with its own centers, so only the branches disagree
     rng = np.random.default_rng(12)
-    batch = [{b: BranchInput(rng.standard_normal((n, 8)), rng.random((n, 2)))
-              for b, n in zip("ab", scene)} for scene in counts]
-    n_a, n_b = counts[-2 if len(counts) > 2 else 0]
-    with pytest.raises(ShapeError, match=rf"^branch 'b' has {n_b} actors, expected {n_a}$"):
-        pack_inputs(batch, {"a": 8, "b": 8})
+    model = EarlyFusionModel("sum", {"a": 8, "b": 8}, _cfg(8), rng_for(0, "init"))
+    for scene in counts:
+        inputs = {b: BranchInput(rng.standard_normal((n, 8)), rng.random((n, 2)))
+                  for b, n in zip("ab", scene)}
+        with pytest.raises(DataError, match="^branches 'a' and 'b' hold different box centers$"):
+            model.forward(inputs)
 
 
 def test_float32_features_pack_as_float64_like_branch_inputs():
     scenes = _scenes((2, 6), 5, seed=5)
     scenes[1] = _replace_features(scenes[1], "static",
                                   scenes[1].features["static"].astype(np.float32))
-    old, new = _both(scenes, THREE)
-    _assert_same_packing(old, new, THREE)
-    one_old, one_new = _both(scenes[1:2], THREE)
-    _assert_same_packing(one_old, one_new, THREE)
-
-
-def test_scene_batch_reads_as_its_scenes_branch_inputs():
-    scenes = _scenes((2, 6), 4, seed=6)
-    batch = SceneBatch(scenes)
-    assert len(batch) == 4 and bool(batch) and not SceneBatch([])
-    for got, want in [(list(batch), scenes), ([batch[1], batch[-1]], [scenes[1], scenes[-1]])]:
-        assert len(got) == len(want)
-        for inputs, scene in zip(got, want):
-            assert sorted(inputs) == sorted(scene.features)
-            for b, inp in inputs.items():
-                assert inp.features.tobytes() == scene.features[b].tobytes()
-                assert inp.centers is scene.centers
+    _assert_packs_branch_inputs(scenes, THREE)
+    _assert_packs_branch_inputs(scenes[1:2], THREE)
 
 
 def _cfg(dim, **kw):
@@ -193,14 +212,24 @@ MODELS = {
 @pytest.mark.parametrize("kind", sorted(MODELS))
 @pytest.mark.parametrize("mode", [MODE_INFER, MODE_TRAIN])
 def test_forward_batch_of_scenes_gives_the_same_bits(kind, mode):
+    # forward(branch_inputs(s)) runs the batch of the one scene s
     model = MODELS[kind]()
-    scenes = _scenes((1, 9), 11, seed=7)
-    with Graph(mode):
-        want = model.forward_batch([branch_inputs(s) for s in scenes], mode, record_attention=True)
-        got = model.forward_batch(SceneBatch(scenes), mode, record_attention=True)
-    assert got.sizes == want.sizes
-    assert got.action_logits.data.tobytes() == want.action_logits.data.tobytes()
-    assert got.activity_logits.data.tobytes() == want.activity_logits.data.tobytes()
+    for s in _scenes((1, 9), 5, seed=7):
+        with Graph(mode):
+            want = model.forward_batch([s], mode, record_attention=True)
+            got = model.forward(branch_inputs(s), mode, record_attention=True)
+        assert got.sizes is None and want.sizes == (s.n_actors,)
+        assert got.action_logits.data.tobytes() == want.action_logits.data.tobytes()
+        assert got.activity_logits.data.tobytes() == want.activity_logits.data[0].tobytes()
+        assert got.attention is not None and _records(got.attention) == \
+            _records(want.attention[0])
+
+
+def _records(attention):
+    """An attention record's matrices as bytes, late fusion's per branch."""
+    if isinstance(attention, dict):
+        return {b: _records(rec) for b, rec in attention.items()}
+    return [m.tobytes() for layer in attention.matrices for m in layer]
 
 
 def test_evaluation_spans_chunks_of_packed_scenes():

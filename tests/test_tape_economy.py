@@ -10,7 +10,7 @@ import pytest
 
 import groupact.model as model_module
 from groupact.errors import NumericsError
-from groupact.model import BranchConfig, BranchModel, EarlyFusionModel, SceneBatch
+from groupact.model import BranchConfig, BranchModel, EarlyFusionModel
 from groupact.scenes import SceneConfig, generate
 from groupact.seeding import rng_for
 from groupact.tensor import (
@@ -60,7 +60,7 @@ def test_a_pass_checks_its_features_once(monkeypatch, kind, mode):
 
     monkeypatch.setattr(np, "isfinite", counting)
     with Graph(mode):
-        model.forward_batch(SceneBatch(scenes), mode)
+        model.forward_batch(scenes, mode)
     assert len(checked) == (1 if kind == "branch" else 2)  # once per branch the model reads
 
 
@@ -69,7 +69,7 @@ def test_a_taped_pass_still_rejects_non_finite_features():
     scenes[2].features["a"][1, 3] = np.inf
     with Graph(MODE_TRAIN):
         with pytest.raises(NumericsError, match="features"):
-            model.forward_batch(SceneBatch(scenes), MODE_TRAIN)
+            model.forward_batch(scenes, MODE_TRAIN)
 
 
 def test_raw_arrays_handed_to_a_recording_op_are_still_checked():
@@ -108,7 +108,7 @@ def test_embed_gradients_keep_their_bits_without_the_feature_gradient(monkeypatc
     def grads():
         model = MODELS["early-sum"]()
         with Graph(MODE_TRAIN):
-            pred = model.forward_batch(SceneBatch(scenes), MODE_TRAIN)
+            pred = model.forward_batch(scenes, MODE_TRAIN)
             loss, _, _ = loss_terms(pred, [s.activity for s in scenes],
                                     np.concatenate([s.actions for s in scenes]))
             loss.backward()

@@ -387,7 +387,7 @@ class _Scaled:
         return [("w", self.w)]
 
     def forward_batch(self, batch, mode, rng):
-        sizes = [inputs["static"].features.shape[0] for inputs in batch]
+        sizes = [len(scene.features["static"]) for scene in batch]
         ones = Tensor(np.ones((len(batch), 1)))
         actions = Tensor(np.zeros((sum(sizes), 3)))
         return Prediction(actions, mul(matmul(ones, self.w), self.scale), sizes=tuple(sizes))
