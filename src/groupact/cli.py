@@ -282,18 +282,16 @@ def main(argv=None) -> int:
     try:
         _check_out(args.out)
         cfg = load_run_config(args.config, overrides)
+        if args.command in ("evaluate", "attention-dump") and args.checkpoint is None:
+            raise UsageError(f"{args.command} needs --checkpoint")
         if args.command == "generate":
             return cmd_generate(cfg, args.out)
         if args.command == "train":
             return cmd_train(cfg, args.out, args.checkpoint)
         if args.command == "evaluate":
-            if args.checkpoint is None:
-                raise UsageError("evaluate needs --checkpoint")
             return cmd_evaluate(cfg, args.out, args.checkpoint)
         if args.command == "ablate":
             return cmd_ablate(cfg, args.out)
-        if args.checkpoint is None:
-            raise UsageError("attention-dump needs --checkpoint")
         return cmd_attention_dump(cfg, args.out, args.checkpoint)
     except GroupActError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -103,6 +103,14 @@ def _list_of(parse):
     return lambda text: tuple(parse(c) for c in text.split(",") if c.strip())
 
 
+def _scene_ids(text: str) -> tuple:
+    ids = _list_of(_parse_int)(text)
+    if len(set(ids)) < len(ids):
+        sid = next(sid for i, sid in enumerate(ids) if sid in ids[:i])
+        raise ConfigError(f"scene_ids names {sid} twice")
+    return ids
+
+
 def _choice(options):
     def parse(text: str) -> str:
         t = text.strip()
@@ -171,7 +179,7 @@ class RunConfig:
     # data files
     train_data: str = _key(_identity, "")
     test_data: str = _key(_identity, "")
-    scene_ids: tuple = _key(_list_of(_parse_int), ())
+    scene_ids: tuple = _key(_scene_ids, ())
     # ablation axes; empty means "keep the configured value"
     ablate_layers: tuple = _key(_list_of(_parse_int), ())
     ablate_heads: tuple = _key(_list_of(_parse_int), ())

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, ParseError, UsageError
-from .fileio import atomic_write_text, f17, read_text
+from .fileio import atomic_write_text, f17, meta_decode, read_text
 # branch_inputs stays bound here, where perfbench/spans.py wraps it
 from .model import branch_inputs, predict  # noqa: F401
 from .tensor import MODE_INFER
@@ -83,9 +83,9 @@ def _confusion_csv(matrix: np.ndarray) -> str:
 
 def _parse_confusion(path) -> np.ndarray:
     lines = read_text(path).splitlines()
-    if not lines or not lines[0].startswith("true\\pred,"):
+    width = len(lines[0].split(",")) - 1 if lines else 0
+    if not lines or lines[0] != "true\\pred," + ",".join(map(str, range(width))):
         raise ParseError(path, 1, "bad confusion-matrix header")
-    width = len(lines[0].split(",")) - 1
     rows = []
     for no, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
@@ -94,7 +94,7 @@ def _parse_confusion(path) -> np.ndarray:
         if cells[0] != str(no - 2):
             raise ParseError(path, no, f"expected row label {no - 2}, got {cells[0]!r}")
         try:
-            rows.append(np.array([int(c) for c in cells[1:]], dtype=np.int64))
+            rows.append(np.array([meta_decode("int", c) for c in cells[1:]], dtype=np.int64))
         except (ValueError, OverflowError):
             raise ParseError(path, no, "bad count") from None
         if (rows[-1] < 0).any():

@@ -45,8 +45,6 @@ from .errors import ConfigError, DataError, NumericsError, ShapeError
 from .posenc import apply_pe
 from .tensor import (
     MODE_INFER,
-    MODE_TRAIN,
-    DropoutDraws,
     SetLayout,
     Tensor,
     add,
@@ -61,7 +59,7 @@ from .tensor import (
     unbox,
     weighted_sum,
 )
-from .transformer import EncoderConfig, EncoderWeights, dropout_widths, encode, xavier_uniform
+from .transformer import EncoderConfig, EncoderWeights, encode, xavier_uniform
 
 PE_POST_EMBED = "post-embed"
 PE_PRE_EMBED = "pre-embed"
@@ -437,13 +435,8 @@ class EarlyFusionModel:
             w = Tensor(xavier_uniform(rng, self.feature_dims[b], cfg.d_model), requires_grad=True)
             bias = Tensor(np.zeros(cfg.d_model), requires_grad=True)
             self.embeds[b] = (w, bias)
-        if combine == "concat":
-            self.proj = Tensor(
-                xavier_uniform(rng, cfg.d_model * len(self.branches), cfg.d_model),
-                requires_grad=True,
-            )
-        else:
-            self.proj = None
+        self.proj = None if combine == "sum" else Tensor(
+            xavier_uniform(rng, cfg.d_model * len(self.branches), cfg.d_model), requires_grad=True)
         self.encoder = EncoderWeights(cfg.encoder_config(), rng) if cfg.use_encoder else None
         self.action_w = Tensor(xavier_uniform(rng, cfg.d_model, cfg.num_actions), requires_grad=True)
         self.activity_w = Tensor(xavier_uniform(rng, cfg.d_model, cfg.num_activities), requires_grad=True)
@@ -529,19 +522,14 @@ class LateFusionModel:
             scenes, {b: m.cfg.feature_dim for b, m in zip(self.branches, members)})
         w, codes = _stacked(members), {}
         x = stack([_embedded(feats[b], centers, m, codes) for b, m in zip(self.branches, members)])
-        rows, count = sum(sizes), len(members)
-        draws = rng
-        if mode == MODE_TRAIN and isinstance(rng, np.random.Generator):
-            # one member's masks after another's, as their own passes draw them
-            draws = DropoutDraws(rng, [rows] * count, dropout_widths(w.encoder))
-        layout = SetLayout.of(sizes * count, rows * count)
-        pred = checked(_read_out(x, w, layout, mode, draws, record_attention))
+        layout = SetLayout.of(sizes * len(members), sum(sizes) * len(members))
+        pred = checked(_read_out(x, w, layout, mode, rng, record_attention))
         mix = [self.weights[b] for b in self.branches]
         action_mix = weighted_sum(softmax_rows(unbox(pred.action_logits)), mix)
         activity_mix = weighted_sum(softmax_rows(unbox(pred.activity_logits)), mix)
         attention = None
         if record_attention:  # the records run member after member, scene after scene
-            recs = pred.attention or [None] * (count * len(sizes))  # None: no encoder
+            recs = pred.attention or [None] * layout.count  # None: no encoder
             attention = [dict(zip(self.branches, recs[i::len(sizes)])) for i in range(len(sizes))]
         # the logits passed checked(); mixing their softmaxes stays finite
         return Prediction(box(action_mix), box(activity_mix), attention, sizes)

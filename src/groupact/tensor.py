@@ -687,11 +687,10 @@ class DropoutDraws:
     a time draws in, so packing a batch changes no mask. dropout() reads
     this like an rng, one site per call; widths are the per-row mask widths
     of the sites in the order they run. A grouped pass asks for its (G, N, w)
-    sites with G sets of N rows each.
+    sites with its G x B sets, member after member, scene after scene.
     """
 
     def __init__(self, rng, sizes, widths):
-        sizes, widths = [int(n) for n in sizes], [int(w) for w in widths]
         row = sum(widths)
         draws = rng.random(sum(sizes) * row)
         # Set i's block holds its n_i rows of site 0, then of site 1, and so

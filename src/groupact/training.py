@@ -2,10 +2,10 @@
 
 The loss for one scene is lambda_g * CE(activity) + lambda_a * CE(actions),
 with the action term averaged over the scene's actors; a batch averages the
-scene losses. Each step runs the whole minibatch as one packed forward pass,
-one loss node and one backward pass. Optimizers are plain SGD with momentum
-and Adam, with a piecewise-constant learning-rate schedule; each packs the
-parameters into one vector and updates them with a few vector ops.
+scene losses. Each step runs the minibatch as one packed forward pass, given
+the run's dropout Generator (encode draws its masks scene by scene), one loss
+node and one backward pass. Optimizers, SGD with momentum and Adam, follow a
+piecewise-constant lr schedule and update the parameters as one vector.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericsError, ParseError, TrainingDiverged, UsageError
-from .fileio import atomic_write_text, f17, read_text
+from .fileio import atomic_write_text, f17, meta_decode, read_text
 # branch_inputs stays bound here, where perfbench/spans.py wraps it
 from .model import Prediction, branch_inputs  # noqa: F401
 from .seeding import DROPOUT, SHUFFLE, rng_for
-from .tensor import MODE_TRAIN, DropoutDraws, Graph, Tensor, reshape, weighted_cross_entropy
+from .tensor import MODE_TRAIN, Graph, Tensor, reshape, weighted_cross_entropy
 from .transformer import dropout_widths
 
 OPT_SGD_MOMENTUM = "sgd-momentum"
@@ -259,11 +259,13 @@ class LossCurve:
             if len(cells) != 5:
                 raise ParseError(path, no, f"expected 5 columns, got {len(cells)}")
             try:
-                curve.append(int(cells[0]), *[float(c) for c in cells[1:]])
+                curve.append(meta_decode("int", cells[0]), *[float(c) for c in cells[1:]])
             except ValueError as exc:
                 raise ParseError(path, no, str(exc)) from None
             if not np.isfinite(curve.rows[-1][1:]).all():
                 raise ParseError(path, no, "non-finite value")
+            if list(map(f17, curve.rows[-1][1:])) != cells[1:]:
+                raise ParseError(path, no, "a value is not in the form write_csv writes")
         return curve
 
 
@@ -325,7 +327,8 @@ def train(model, scenes, cfg: TrainConfig, *, start_iteration: int = 0, optimize
         optimizer = make_optimizer(cfg, params)
     grads = _pack(params)[1]
     stream = _SceneStream(len(scenes), rng_for(cfg.seed, SHUFFLE))
-    # One dropout stream serves the whole run. A resumed run advances it
+    # One dropout stream serves the whole run; encode draws each step's
+    # masks off it, sum(widths) values per actor row. A resumed run advances it
     # past every draw of the iterations before start_iteration, so it
     # continues with the masks the straight run would draw.
     widths = dropout_widths(model.encoder)
@@ -339,10 +342,9 @@ def train(model, scenes, cfg: TrainConfig, *, start_iteration: int = 0, optimize
         lr = lr_at(cfg.lr_schedule, it)
         optimizer.zero_grads()
         batch = [scenes[idx] for idx in stream.take(cfg.batch_size)]
-        draws = DropoutDraws(dropout_rng, [scene.n_actors for scene in batch], widths)
         try:
             with Graph(MODE_TRAIN):
-                pred = model.forward_batch(batch, MODE_TRAIN, draws)
+                pred = model.forward_batch(batch, MODE_TRAIN, dropout_rng)
                 loss, ce_g, ce_a = loss_terms(
                     pred, [scene.activity for scene in batch],
                     np.concatenate([scene.actions for scene in batch]),

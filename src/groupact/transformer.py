@@ -23,6 +23,8 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .tensor import (
     MODE_INFER,
+    MODE_TRAIN,
+    DropoutDraws,
     SetLayout,
     Tensor,
     add,
@@ -175,9 +177,9 @@ def encoder_layer(s: Tensor, w: EncoderLayerWeights, rate, mode, rng=None, recor
     """One encoder layer: attention sublayer, then feed-forward sublayer.
 
     Dropout draws, in order: attention output, feed-forward inner, feed-
-    forward output; each site asks rng for one mask over all packed rows
-    (training passes a DropoutDraws, which keeps the one-scene-at-a-time
-    stream order).
+    forward output; each site asks rng.random for one mask over all packed
+    rows (encode passes a DropoutDraws for a Generator, which keeps the
+    one-scene-at-a-time stream order).
     """
     check_mode(mode)
     attended = layer_norm(add(s, dropout(multi_head(s, w, record, sizes), rate, mode, rng)),
@@ -200,12 +202,15 @@ def encode(s: Tensor, weights: EncoderWeights, mode=MODE_INFER, rng=None, record
     """Run the full stack. Returns (output, attention).
 
     attention is None unless record_attention; then it is an AttentionRecord,
-    or with sizes a list of them, one per scene.
+    or with sizes a list of them, one per scene. In train mode a Generator rng
+    becomes a DropoutDraws over the sets of sizes; any other rng is used as is.
     """
     cfg = weights.cfg
     if s.ndim not in (2, 3) or s.shape[-1] != cfg.d_model:
         raise ShapeError(f"encode: need (n, {cfg.d_model}) input, got {s.shape}")
     layout = SetLayout.of(sizes, math.prod(s.shape[:-1]))
+    if mode == MODE_TRAIN and isinstance(rng, np.random.Generator):
+        rng = DropoutDraws(rng, layout.sizes.tolist(), dropout_widths(weights))
     recs = [AttentionRecord() for _ in range(layout.count)] if record_attention else None
     for layer in weights.layers:
         per_scene = [[] for _ in range(layout.count)] if record_attention else None

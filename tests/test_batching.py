@@ -44,7 +44,7 @@ from groupact.tensor import (
     weighted_cross_entropy,
 )
 from groupact.training import TrainConfig, _SceneStream, joint_loss, loss_terms, train
-from groupact.transformer import attention
+from groupact.transformer import attention, dropout_widths
 
 from helpers import check_gradients
 
@@ -326,6 +326,35 @@ def test_training_step_matches_the_one_scene_loop_with_dropout():
     assert abs(loss_b - loss_s) <= RTOL * loss_s
     for name, g in grads_s.items():
         assert _gap(grads_b[name], g) <= RTOL, name
+
+
+DROPPED = {
+    "branch": lambda rng: BranchModel("a", _cfg(feature_dim=8, dropout=0.2), rng),
+    "early-concat": lambda rng: EarlyFusionModel("concat", DIMS, _cfg(dropout=0.2), rng),
+    "late": lambda rng: LateFusionModel(
+        {b: BranchModel(b, _cfg(feature_dim=f, dropout=0.2), rng) for b, f in DIMS.items()},
+        {"a": 2.0, "b": 1.0}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DROPPED))
+def test_a_generator_draws_the_masks_train_draws(kind):
+    """A train pass given a Generator draws the masks of a DropoutDraws over
+    its sets, as train() does: scene by scene, and under late fusion member
+    after member. It leaves the Generator where those draws end."""
+    model = DROPPED[kind](np.random.default_rng(16))
+    batch, _, _ = _batch(np.random.default_rng(17), RAGGED)
+    members = list(model.models.values()) if kind == "late" else [model]
+    widths = dropout_widths(members[0].encoder)
+    rng, ref = np.random.default_rng(18), np.random.default_rng(18)
+    got = model.forward_batch(batch, MODE_TRAIN, rng)
+    want = model.forward_batch(batch, MODE_TRAIN,
+                               DropoutDraws(ref, RAGGED * len(members), widths))
+    assert _same_bits(got.action_logits.data, want.action_logits.data)
+    assert _same_bits(got.activity_logits.data, want.activity_logits.data)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    inference = model.forward_batch(batch, MODE_INFER)
+    assert not _same_bits(got.action_logits.data, inference.action_logits.data)
 
 
 def _member_mix(model, batch, mode=MODE_INFER, rng=None):

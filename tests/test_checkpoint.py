@@ -228,6 +228,16 @@ def test_bad_metadata_is_a_parse_error_naming_the_file(tmp_path, build, key, val
         load_model(path)
 
 
+def test_repeated_tensor_name_is_a_parse_error(tmp_path):
+    # save_model refuses to write one; write_checkpoint writes what it is given
+    path = _branch(tmp_path)
+    meta, tensors = read_checkpoint(path)
+    write_checkpoint(path, meta, tensors + tensors[1:2])
+    with pytest.raises(ParseError, match="duplicate tensor names in checkpoint") as info:
+        load_model(path)
+    assert info.value.path == str(path) and info.value.line_no == 0
+
+
 def test_repeated_metadata_key_is_a_parse_error(tmp_path):
     # write_checkpoint takes a dict, so the second key is renamed in the bytes
     path = _branch(tmp_path)

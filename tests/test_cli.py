@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -284,6 +286,59 @@ def test_resume_past_total_iterations_is_refused(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "iteration 10" in err and "total_iterations 5" in err
     assert not (tmp_path / "short" / "model.ckpt").exists()
+
+
+def test_resume_at_total_iterations_runs_nothing_and_writes_its_checkpoint(tmp_path, capsys):
+    data = _generate(tmp_path)
+    head = _train(tmp_path, data, out="head", iters=10)
+    capsys.readouterr()
+    tail = _train(tmp_path, data, out="tail", iters=10, resume=head / "model.ckpt")
+    assert capsys.readouterr().out == "no iterations to run (already at 10)\n"
+    assert (tail / "model.ckpt").read_bytes() == (head / "model.ckpt").read_bytes()
+    assert LossCurve.read_csv(tail / "loss.csv").rows == []
+
+
+def _with(config, **values):
+    """config with each key's line set to its value, or the line added."""
+    for key, value in values.items():
+        config, found = re.subn(rf"^{key} = .*$", f"{key} = {value}", config, flags=re.M)
+        config += "" if found else f"{key} = {value}\n"
+    return config
+
+
+@pytest.mark.parametrize("command, values, message", [
+    ("generate", dict(scene_count=0), "scene_count must be >= 1 to generate, got 0"),
+    ("train", dict(total_iterations=0), "total_iterations must be >= 1 to train"),
+    ("ablate", dict(scene_count=1, total_iterations=5),
+     "ablate needs train_data/test_data or scene_count >= 2"),
+    ("ablate", dict(train_fraction=0.0, total_iterations=5), "train_fraction leaves an empty split"),
+    ("ablate", dict(total_iterations=0), "total_iterations must be >= 1 to ablate"),
+    ("attention-dump", dict(), "attention-dump needs --checkpoint"),
+], ids=["generate-no-scenes", "train-no-iterations", "ablate-one-scene", "ablate-empty-split",
+        "ablate-no-iterations", "dump-no-checkpoint"])
+def test_refusals_exit_1_naming_the_key_and_write_nothing(tmp_path, capsys, command, values,
+                                                          message):
+    if command == "train":
+        values = {**values, "train_data": _generate(tmp_path) / "train.scenes"}
+        capsys.readouterr()
+    cfg = _write_cfg(tmp_path, "bad.cfg", base=_with(BASE, **values))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_attention_dump_refuses_a_repeated_scene_id(tmp_path, capsys):
+    data = _generate(tmp_path)
+    run = _train(tmp_path, data, iters=5)
+    capsys.readouterr()
+    cfg = _write_cfg(tmp_path, "dump.cfg",
+                     f"test_data = {data / 'test.scenes'}\nscene_ids = 37, 36, 37\n")
+    out = tmp_path / "attn"
+    assert main(["attention-dump", "--config", str(cfg), "--out", str(out),
+                 "--checkpoint", str(run / "model.ckpt")]) == 1
+    assert capsys.readouterr().err == "error: config key 'scene_ids': scene_ids names 37 twice\n"
+    assert not out.exists()
 
 
 def test_evaluate_on_an_empty_test_split_fails(tmp_path, capsys):

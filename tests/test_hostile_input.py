@@ -135,6 +135,19 @@ def test_loss_curve_rejects_a_non_finite_value(tmp_path, token):
         LossCurve.read_csv(path)
 
 
+@pytest.mark.parametrize("row", [" 1,0.01,1,0.5,0.5", "+0_1,0.01,1,0.5,0.5", "01,0.01,1,0.5,0.5",
+                                 "1,0.010,1,0.5,0.5", "1,0.01,1.0,0.5,0.5", "1,0.01,1,5e-1,0.5",
+                                 "1,0.01,1,0.5,0.1"],
+                         ids=["iteration-space", "iteration-underscore", "iteration-zero",
+                              "lr-trailing-zero", "total-point-zero", "activity-exponent",
+                              "action-short-form"])
+def test_loss_curve_loads_only_the_text_write_csv_writes(tmp_path, row):
+    path = tmp_path / "loss.csv"
+    path.write_bytes(CURVE_HEADER + f"0,0.01,1,0.5,0.5\n{row}\n".encode())
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:3: "):
+        LossCurve.read_csv(path)
+
+
 @pytest.mark.parametrize("read, name, data, line", [
     (LossCurve.read_csv, "missing.csv", None, 0),
     (LossCurve.read_csv, "loss.csv", CURVE_HEADER + b"0,0.01,1,0.5,0.5\n1,\xff\n", 3),
@@ -171,8 +184,16 @@ def test_dataset_with_a_non_finite_noise_is_rejected(tmp_path, token):
     (SUMMARY_FILE, 4, "action_accuracy,nan"),
     (GROUP_CONFUSION_FILE, 2, "0,2,-1"),
     (GROUP_CONFUSION_FILE, 2, "0,2,99999999999999999999"),
+    # counts and headers that parse, but not as the text a save writes
+    (GROUP_CONFUSION_FILE, 2, "0,+2,1"),
+    (GROUP_CONFUSION_FILE, 3, "1,0_0,2"),
+    (GROUP_CONFUSION_FILE, 3, "1, 0,2"),
+    (GROUP_CONFUSION_FILE, 2, "0,02,1"),
+    (ACTION_CONFUSION_FILE, 1, "true\\pred,x,y"),
+    (ACTION_CONFUSION_FILE, 1, "true\\pred,1,0"),
 ], ids=["scenes-word", "scenes-miscount", "accuracy-mangled", "accuracy-nan", "count-negative",
-        "count-overflow"])
+        "count-overflow", "count-plus", "count-underscore", "count-space", "count-leading-zero",
+        "header-letters", "header-order"])
 def test_damaged_report_is_a_parse_error_naming_it(tmp_path, file, line, text):
     path = _report(tmp_path) / file
     lines = path.read_text().splitlines()

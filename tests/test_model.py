@@ -42,6 +42,8 @@ def _scene_input(rng, n=5, f=8, centers=None):
 def test_branch_config_validation():
     with pytest.raises(ConfigError):
         _cfg(num_actions=0)
+    with pytest.raises(ConfigError, match="feature_dim must be positive, got 0"):
+        _cfg(feature_dim=0)
     with pytest.raises(ConfigError):
         _cfg(pe_stage="mid")
     with pytest.raises(ConfigError):

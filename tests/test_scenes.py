@@ -58,6 +58,13 @@ def test_config_validation():
         _vb_cfg(complementary=True)  # needs a second branch
     with pytest.raises(ConfigError):
         _cc_cfg(branch_dims={"a": 8, "b": 8}, complementary=True)
+    with pytest.raises(ConfigError, match="need at least one branch"):
+        _vb_cfg(branch_dims={})
+    for name in ("", "two words"):
+        with pytest.raises(ConfigError, match="bad branch name"):
+            _vb_cfg(branch_dims={name: 8})
+    with pytest.raises(ConfigError, match="need >= 4 base activities, got 2"):
+        _vb_cfg(num_activities=4, branch_dims={"a": 8, "b": 8}, complementary=True)
     _vb_cfg(branch_dims={"a": 8, "b": 8}, complementary=True)
 
 
@@ -375,6 +382,21 @@ def test_bad_header_field_is_a_parse_error_naming_its_line(tmp_path, key, value,
         meta[key] = value
     _rewrite(path, meta, records)
     path.write_bytes(path.read_bytes().replace(b"branch.X", key[1:].encode()))
+    with pytest.raises(ParseError, match=message) as info:
+        load_dataset(path)
+    assert info.value.path == str(path)
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda meta, records: meta.pop("noise"), "missing metadata key 'noise'"),
+    (lambda meta, records: records.pop("centers"),
+     r"expected records \[.*\], got \[.*'actions', 'features/a'\]$"),
+    (lambda meta, records: records.update(extra=np.zeros(1)), r"expected records .*'extra'\]$"),
+], ids=["missing-key", "missing-record", "extra-record"])
+def test_missing_metadata_or_unexpected_records_are_a_parse_error(tmp_path, damage, message):
+    path, meta, records = _saved(tmp_path, _vb_cfg(seed=24, branch_dims={"a": 8}))
+    damage(meta, records)
+    _rewrite(path, meta, records)
     with pytest.raises(ParseError, match=message) as info:
         load_dataset(path)
     assert info.value.path == str(path)

@@ -72,6 +72,14 @@ def test_train_config_validation():
         TrainConfig(lr_schedule=((0, -0.01),))
     with pytest.raises(ConfigError):
         TrainConfig(batch_size=0)
+    with pytest.raises(ConfigError, match="beta2 must lie in"):
+        TrainConfig(beta2=1.0)
+    with pytest.raises(ConfigError, match="adam_eps must be positive"):
+        TrainConfig(adam_eps=0.0)
+    with pytest.raises(ConfigError, match="total_iterations must be >= 0"):
+        TrainConfig(total_iterations=-1)
+    with pytest.raises(ConfigError, match="loss weights must be >= 0"):
+        TrainConfig(lambda_a=-0.5)
     TrainConfig(lr_schedule=((0, 0.0),))  # a zero rate is allowed
 
 

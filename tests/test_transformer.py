@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from groupact.errors import ConfigError, ShapeError
+from groupact.model import BranchConfig, BranchWeights, _stacked
 from groupact.tensor import MODE_INFER, MODE_TRAIN, Tensor, mul, sum_all
 from groupact.transformer import (
     AttentionRecord,
@@ -36,6 +39,10 @@ def test_config_validation():
         EncoderConfig(d_model=8, num_layers=0)
     with pytest.raises(ConfigError):
         EncoderConfig(d_model=8, dropout=1.0)
+    with pytest.raises(ConfigError, match="d_model and num_heads must be positive"):
+        EncoderConfig(d_model=0)
+    with pytest.raises(ConfigError, match="d_ff must be positive"):
+        EncoderConfig(d_model=8, d_ff=0)
     assert EncoderConfig(d_model=8, num_heads=2).head_dim == 4
 
 
@@ -212,3 +219,29 @@ def test_train_mode_dropout_needs_rng_and_differs():
     inference, _ = encode(Tensor(s), weights, MODE_INFER)
     dropped, _ = encode(Tensor(s), weights, MODE_TRAIN, rng=_rng(26))
     assert np.abs(inference.data - dropped.data).max() > 1e-6
+
+
+def test_encode_draws_a_generators_masks_set_by_set():
+    """encode wraps a Generator as a DropoutDraws: one scene keeps the bare
+    stream's site-by-site masks, and a grouped pass draws each member's masks
+    after the previous member's, scene by scene, as the members' own passes
+    do. Either way the Generator ends where those draws leave it."""
+    cfg = BranchConfig(feature_dim=4, num_actions=2, num_activities=2, d_model=8, num_heads=2,
+                       num_layers=2, d_ff=16, dropout=0.3)
+    members = [BranchWeights(cfg, _rng(27 + g)) for g in range(2)]
+    sizes = (3, 1, 5)
+    s = _rng(29).standard_normal((2, sum(sizes), 8))
+
+    gen, ref = _rng(30), _rng(30)
+    got, _ = encode(s[0], members[0].encoder, MODE_TRAIN, gen)
+    want, _ = encode(s[0], members[0].encoder, MODE_TRAIN, SimpleNamespace(random=ref.random))
+    assert got.tobytes() == want.tobytes()
+    assert gen.bit_generator.state == ref.bit_generator.state
+
+    gen, ref = _rng(31), _rng(31)
+    got, _ = encode(s, _stacked(members).encoder, MODE_TRAIN, gen, sizes=sizes * 2)
+    want = [encode(x, m.encoder, MODE_TRAIN, ref, sizes=sizes)[0] for x, m in zip(s, members)]
+    assert got.tobytes() == np.stack(want).tobytes()
+    assert gen.bit_generator.state == ref.bit_generator.state
+    inference, _ = encode(s, _stacked(members).encoder, MODE_INFER, sizes=sizes * 2)
+    assert np.abs(inference - got).max() > 1e-6

@@ -25,7 +25,12 @@ then run one fixed list of CLI scenarios, each tree from its own `src/`:
   an ablate grid over fusion (early-sum, early-concat, late), position
   codes and the encoder, with position codes added per branch;
 - the quick start with position codes added before the embedding:
-  generate, train, evaluate and attention-dump.
+  generate, train, evaluate and attention-dump;
+- the ragged fusion workload config with 45 train scenes: generate, train
+  straight to 6 iterations, and train to 3 then resume to 6. Batches of 16
+  make the resume skip one whole epoch and part of the next, over scenes
+  of 3-16 actors, so both the set-by-set dropout masks and the resumed
+  run's jump past the draws it skips are compared.
 
 Every output file is compared byte for byte. The script prints the numpy
 version and the BLAS kernel it ran on, since another kernel rounds
@@ -161,6 +166,13 @@ def _scenarios():
         ("evaluate", "", "run", "run/eval"),
         ("attention-dump", "", "run", "attention"),
     ]))
+    out.append(("ragged-resume", ragged + data + "scene_count = 60\ntrain_fraction = 0.75\n"
+                "seed = 2\n", [
+                    ("generate", "", None, "data"),
+                    ("train", "total_iterations = 6\n", None, "run"),
+                    ("train", "total_iterations = 3\n", None, "half"),
+                    ("train", "total_iterations = 6\n", "half", "resumed"),
+                ]))
     return out
 
 
