@@ -52,14 +52,7 @@ def _cfg_from_meta(prefix: str, meta: dict) -> BranchConfig:
                            for f in fields(BranchConfig)})
 
 
-def save_model(path, model, *, iteration: int = 0, extra_tensors=()) -> None:
-    """Serialise a model plus optional optimizer slots.
-
-    extra_tensors names must not collide with model parameter names or with
-    each other (the training loop namespaces optimizer slots under
-    'optim/'); a name used twice raises DataError before anything is
-    written, since load_model refuses such a file.
-    """
+def _meta(model, iteration: int) -> dict:
     meta = {"kind": model.kind, "iteration": meta_encode("int", iteration)}
     if model.kind == "branch":
         meta["branch"] = model.branch
@@ -77,6 +70,18 @@ def save_model(path, model, *, iteration: int = 0, extra_tensors=()) -> None:
             meta.update(_cfg_meta(f"cfg.{b}.", model.models[b].cfg))
     else:
         raise DataError(f"cannot serialise model kind {model.kind!r}")
+    return meta
+
+
+def save_model(path, model, *, iteration: int = 0, extra_tensors=()) -> None:
+    """Serialise a model plus optional optimizer slots.
+
+    extra_tensors names must not collide with model parameter names or with
+    each other (the training loop namespaces optimizer slots under
+    'optim/'); a name used twice raises DataError before anything is
+    written, since load_model refuses such a file.
+    """
+    meta = _meta(model, iteration)
     tensors = [(name, t.data) for name, t in model.parameters()] + list(extra_tensors)
     seen = set()
     for name, _ in tensors:
@@ -131,11 +136,15 @@ def load_model(path):
             model = LateFusionModel(models, weights)
         else:
             raise ParseError(path, 0, f"unknown model kind {kind!r}")
-        iteration = meta_decode("int", meta.get("iteration", "0"))
+        iteration = meta_decode("int", meta["iteration"])
     except KeyError as exc:
         raise ParseError(path, 0, f"checkpoint is missing metadata key {exc}") from None
     except (ValueError, ConfigError) as exc:
         raise ParseError(path, 0, f"bad checkpoint metadata: {exc}") from None
+    written = _meta(model, iteration)  # a missing key failed above, an unknown one fails here
+    unknown = [key for key in meta if key not in written]
+    if unknown:
+        raise ParseError(path, 0, f"checkpoint has unknown metadata key {unknown[0]!r}")
     _restore_parameters(model, stored, path)
     param_names = {name for name, _ in model.parameters()}
     extras = {name: arr for name, arr in stored.items() if name not in param_names}

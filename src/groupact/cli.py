@@ -227,20 +227,23 @@ def cmd_attention_dump(cfg: RunConfig, out_dir: Path, checkpoint: Path) -> int:
     ds = load_dataset(_require(cfg, "test_data"))
     by_id = {scene.scene_id: scene for scene in ds.scenes}
     ids = cfg.scene_ids or tuple(scene.scene_id for scene in ds.scenes)
+    # every refusal comes before out_dir is made, so a refused dump writes nothing
+    missing = [sid for sid in ids if sid not in by_id]
+    if missing:
+        raise ConfigError(f"scene id {missing[0]} not in {cfg.test_data}")
+    members = model.models.values() if model.kind == FUSION_LATE else (model,)
+    if all(member.encoder is None for member in members):
+        raise UsageError("this model has no encoder, so there is no attention to dump")
     out_dir.mkdir(parents=True, exist_ok=True)
     written = 0
     for sid in ids:
-        if sid not in by_id:
-            raise ConfigError(f"scene id {sid} not in {cfg.test_data}")
         rec = model.forward(branch_inputs(by_id[sid]), MODE_INFER, record_attention=True).attention
         # late fusion records one entry per branch, None for a branch without an encoder
         per_branch = rec if isinstance(rec, dict) else {None: rec}
-        records = {b: sub for b, sub in per_branch.items() if sub is not None}
-        if not records:
-            raise UsageError("this model has no encoder, so there is no attention to dump")
-        for b, sub in records.items():
-            prefix = "attention_" if b is None else f"attention_{b}_"
-            written += _dump_record(out_dir, prefix, sid, sub)
+        for b, sub in per_branch.items():
+            if sub is not None:
+                prefix = "attention_" if b is None else f"attention_{b}_"
+                written += _dump_record(out_dir, prefix, sid, sub)
     print(f"wrote {written} attention matrices to {out_dir}")
     return 0
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, ParseError, UsageError
-from .fileio import atomic_write_text, f17, meta_decode, read_text
+from .fileio import atomic_write_text, check_lines, f17, read_text
 # branch_inputs stays bound here, where perfbench/spans.py wraps it
 from .model import branch_inputs, predict  # noqa: F401
 from .tensor import MODE_INFER
@@ -82,69 +82,47 @@ def _confusion_csv(matrix: np.ndarray) -> str:
 
 
 def _parse_confusion(path) -> np.ndarray:
-    lines = read_text(path).splitlines()
-    width = len(lines[0].split(",")) - 1 if lines else 0
-    if not lines or lines[0] != "true\\pred," + ",".join(map(str, range(width))):
-        raise ParseError(path, 1, "bad confusion-matrix header")
+    text = read_text(path)
     rows = []
-    for no, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != width + 1:
-            raise ParseError(path, no, f"expected {width + 1} columns, got {len(cells)}")
-        if cells[0] != str(no - 2):
-            raise ParseError(path, no, f"expected row label {no - 2}, got {cells[0]!r}")
+    for no, line in enumerate(text.splitlines()[1:], start=2):
         try:
-            rows.append(np.array([meta_decode("int", c) for c in cells[1:]], dtype=np.int64))
+            rows.append(np.array([int(cell) for cell in line.split(",")[1:]], dtype=np.int64))
         except (ValueError, OverflowError):
             raise ParseError(path, no, "bad count") from None
         if (rows[-1] < 0).any():
             raise ParseError(path, no, "negative count")
-    if len(rows) != width:
-        raise ParseError(path, len(lines), f"expected {width} rows, got {len(rows)}")
-    return np.array(rows, dtype=np.int64)
+    for no, row in enumerate(rows, start=2):
+        if len(row) != len(rows):
+            raise ParseError(path, no, f"a {len(rows)}-row matrix needs {len(rows)} counts a row")
+    matrix = np.array(rows, dtype=np.int64).reshape(len(rows), len(rows))
+    check_lines(path, text, _confusion_csv(matrix))
+    return matrix
+
+
+def _summary_csv(report: EvalReport) -> str:
+    return (f"metric,value\nscenes,{report.n_scenes}\n"
+            f"group_accuracy,{f17(report.group_accuracy)}\n"
+            f"action_accuracy,{f17(report.action_accuracy)}\n")
 
 
 def write_report(report: EvalReport, out_dir) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary = "\n".join(
-        [
-            "metric,value",
-            f"scenes,{report.n_scenes}",
-            f"group_accuracy,{f17(report.group_accuracy)}",
-            f"action_accuracy,{f17(report.action_accuracy)}",
-        ]
-    )
-    atomic_write_text(out_dir / SUMMARY_FILE, summary + "\n")
+    atomic_write_text(out_dir / SUMMARY_FILE, _summary_csv(report))
     atomic_write_text(out_dir / GROUP_CONFUSION_FILE, _confusion_csv(report.group_confusion))
     atomic_write_text(out_dir / ACTION_CONFUSION_FILE, _confusion_csv(report.action_confusion))
 
 
 def read_report(out_dir) -> EvalReport:
+    """The report in out_dir, whose summary must be the one write_report writes."""
     out_dir = Path(out_dir)
     path = out_dir / SUMMARY_FILE
-    lines = read_text(path).splitlines()
-    if not lines or lines[0] != "metric,value":
-        raise ParseError(path, 1, "bad summary header")
-    values = {}
-    for no, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != 2:
-            raise ParseError(path, no, "expected metric,value")
-        values[cells[0]] = (no, cells[1])
-    for needed in ("scenes", "group_accuracy", "action_accuracy"):
-        if needed not in values:
-            raise ParseError(path, 1, f"summary is missing {needed!r}")
+    text = read_text(path)
     group = _parse_confusion(out_dir / GROUP_CONFUSION_FILE)
     action = _parse_confusion(out_dir / ACTION_CONFUSION_FILE)
-    no, scenes = values["scenes"]
-    # The stored lines must agree with the matrices they sit next to: one
-    # count per scene in group, at least one actor per scene in action.
-    if scenes != str(group.sum()) or not 1 <= group.sum() <= action.sum():
-        raise ParseError(path, no, "scene count disagrees with the confusion matrices")
-    report = EvalReport(int(scenes), group, action)
-    for name in ("group_accuracy", "action_accuracy"):
-        no, text = values[name]
-        if text != f17(getattr(report, name)):
-            raise ParseError(path, no, f"{name} disagrees with the confusion matrix")
+    # one count per scene in group, one per actor in action
+    if not 1 <= group.sum() <= action.sum():
+        raise ParseError(path, 2, f"need 1 <= scenes <= actors, got {group.sum()} and {action.sum()}")
+    report = EvalReport(int(group.sum()), group, action)
+    check_lines(path, text, _summary_csv(report))
     return report

@@ -42,7 +42,7 @@ META_CODECS = {
 
 
 def f17(x: float) -> str:
-    """Shortest decimal form that round-trips a float64 exactly."""
+    """x to 17 significant digits, which round-trip every float64 (0.1 -> 0.10000000000000001)."""
     return format(float(x), ".17g")
 
 
@@ -113,6 +113,15 @@ def read_text(path) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(path, data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
+
+
+def check_lines(path, text: str, written: str) -> None:
+    """A ParseError at the first line (by str.splitlines) where text, read from
+    path, differs from written, the text its writer makes of what was read."""
+    for no, pair in enumerate(itertools.zip_longest(text.splitlines(), written.splitlines()), 1):
+        if pair[0] != pair[1]:
+            got, want = ("end of file" if line is None else repr(line) for line in pair)
+            raise ParseError(path, no, f"{got} disagrees with the written form {want}")
 
 
 def meta_encode(kind: str, value) -> str:

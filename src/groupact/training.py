@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericsError, ParseError, TrainingDiverged, UsageError
-from .fileio import atomic_write_text, f17, meta_decode, read_text
+from .fileio import atomic_write_text, check_lines, f17, read_text
 # branch_inputs stays bound here, where perfbench/spans.py wraps it
 from .model import Prediction, branch_inputs  # noqa: F401
 from .seeding import DROPOUT, SHUFFLE, rng_for
@@ -242,30 +242,28 @@ class LossCurve:
     def append(self, iteration, lr, total, activity, action):
         self.rows.append((int(iteration), float(lr), float(total), float(activity), float(action)))
 
-    def write_csv(self, path):
+    def csv_text(self) -> str:
         lines = [",".join(CURVE_COLUMNS)]
         for it, lr, total, act_g, act_a in self.rows:
             lines.append(f"{it},{f17(lr)},{f17(total)},{f17(act_g)},{f17(act_a)}")
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        return "\n".join(lines) + "\n"
+
+    def write_csv(self, path):
+        atomic_write_text(path, self.csv_text())
 
     @staticmethod
     def read_csv(path):
-        lines = read_text(path).splitlines()
-        if not lines or lines[0] != ",".join(CURVE_COLUMNS):
-            raise ParseError(path, 1, "bad loss-curve header")
+        """The curve in path: finite values, in the text write_csv writes."""
+        text = read_text(path)
         curve = LossCurve()
-        for no, line in enumerate(lines[1:], start=2):
-            cells = line.split(",")
-            if len(cells) != 5:
-                raise ParseError(path, no, f"expected 5 columns, got {len(cells)}")
-            try:
-                curve.append(meta_decode("int", cells[0]), *[float(c) for c in cells[1:]])
-            except ValueError as exc:
-                raise ParseError(path, no, str(exc)) from None
+        for no, line in enumerate(text.splitlines()[1:], start=2):
+            try:  # append converts each cell; a wrong cell count is a TypeError
+                curve.append(*line.split(","))
+            except (TypeError, ValueError):
+                raise ParseError(path, no, "expected an iteration and four floats") from None
             if not np.isfinite(curve.rows[-1][1:]).all():
                 raise ParseError(path, no, "non-finite value")
-            if list(map(f17, curve.rows[-1][1:])) != cells[1:]:
-                raise ParseError(path, no, "a value is not in the form write_csv writes")
+        check_lines(path, text, curve.csv_text())
         return curve
 
 

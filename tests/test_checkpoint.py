@@ -1,4 +1,6 @@
+import re
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -226,6 +228,30 @@ def test_bad_metadata_is_a_parse_error_naming_the_file(tmp_path, build, key, val
     write_checkpoint(path, meta, tensors)
     with pytest.raises(ParseError, match=str(path)):
         load_model(path)
+
+
+@pytest.mark.parametrize("build", [_branch, _early, _late])
+@pytest.mark.parametrize("key, value, message", [
+    ("bogus", "1", "checkpoint has unknown metadata key 'bogus'"),
+    ("iteration", None, "checkpoint is missing metadata key 'iteration'"),
+], ids=["extra-key", "no-iteration"])
+def test_metadata_keys_are_the_ones_save_model_writes(tmp_path, build, key, value, message):
+    path = build(tmp_path)
+    meta, tensors = read_checkpoint(path)
+    if value is None:
+        del meta[key]
+    else:
+        meta[key] = value
+    write_checkpoint(path, meta, tensors)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:0: {message}$"):
+        load_model(path)
+
+
+def test_save_refuses_an_unknown_model_kind(tmp_path):
+    with pytest.raises(DataError) as info:
+        save_model(tmp_path / "model.ckpt", SimpleNamespace(kind="mystery"))
+    assert str(info.value) == "cannot serialise model kind 'mystery'"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_repeated_tensor_name_is_a_parse_error(tmp_path):

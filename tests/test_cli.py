@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from groupact.checkpoint import load_model
+from groupact.checkpoint import load_model, read_checkpoint, write_checkpoint
 import groupact.cli as cli
 from groupact.cli import _parser, main
 from groupact.evaluation import read_report
@@ -259,11 +259,12 @@ def test_attention_dump_rejects_unknown_scene(tmp_path, capsys):
     run = _train(tmp_path, data, iters=5)
     cfg = _write_cfg(
         tmp_path, "dump.cfg",
-        f"test_data = {data / 'test.scenes'}\nscene_ids = 999\n",
+        f"test_data = {data / 'test.scenes'}\nscene_ids = 36, 999\n",
     )
     assert main(["attention-dump", "--config", str(cfg), "--out", str(tmp_path / "x"),
                  "--checkpoint", str(run / "model.ckpt")]) == 1
     assert "999" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()  # every id is checked before anything is written
 
 
 def test_attention_dump_needs_an_encoder(tmp_path, capsys):
@@ -273,6 +274,27 @@ def test_attention_dump_needs_an_encoder(tmp_path, capsys):
     assert main(["attention-dump", "--config", str(cfg), "--out", str(tmp_path / "x"),
                  "--checkpoint", str(run / "model.ckpt")]) == 1
     assert "encoder" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("key, value", [("bogus", "1"), ("iteration", None)],
+                         ids=["extra-key", "no-iteration"])
+def test_resume_from_a_checkpoint_with_other_metadata_keys_is_refused(tmp_path, capsys, key,
+                                                                      value):
+    data = _generate(tmp_path)
+    path = _train(tmp_path, data, out="head", iters=5) / "model.ckpt"
+    meta, tensors = read_checkpoint(path)
+    if value is None:
+        del meta[key]
+    else:
+        meta[key] = value
+    write_checkpoint(path, meta, tensors)
+    capsys.readouterr()
+    assert main(_train_args(tmp_path, data, out="tail", iters=10, resume=path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:0: ") and f"metadata key '{key}'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "tail").exists()
 
 
 def test_resume_past_total_iterations_is_refused(tmp_path, capsys):

@@ -119,6 +119,16 @@ def test_repeated_name_in_a_list_names_the_key_and_the_name(key, value, name):
         config_from_pairs({key: value})
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("dropout", "abc", "expected a number, got 'abc'"),
+    ("branches", "", "branches must name at least one branch"),
+], ids=["float-word", "no-branches"])
+def test_value_refusal_names_the_key(key, value, message):
+    with pytest.raises(ConfigError) as info:
+        config_from_pairs({key: value})
+    assert str(info.value) == f"config key '{key}': {message}"
+
+
 def _readme_config_rows():
     """(keys, default cell) of every `| key | default | meaning |` table row."""
     lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()

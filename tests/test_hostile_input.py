@@ -254,3 +254,4 @@ def test_attention_dump_of_late_fusion_without_encoders_is_an_error(tmp_path, ca
     assert code == 1
     assert err.startswith("error:") and "encoder" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "att").exists()

@@ -64,6 +64,12 @@ def test_pe_2d_validation():
         pe_2d((1.5, 0.0), 8)
 
 
+def test_pe_table_needs_d_model_divisible_by_four():
+    with pytest.raises(ConfigError) as info:
+        pe_table(np.zeros((2, 2)), 6)
+    assert str(info.value) == "position codes need d_model divisible by 4, got 6"
+
+
 def test_pe_2d_injective_on_grid():
     # 20x20 grid of distinct centers at the reference width must stay distinct
     grid = [(x / 19.0, y / 19.0) for x in range(20) for y in range(20)]

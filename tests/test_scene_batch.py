@@ -149,6 +149,10 @@ def test_first_of_several_faults_is_the_one_raised():
         ShapeError, f"centers must be ({n - 1}, 2), got ({n}, 2)")
 
 
+def test_a_batch_of_no_scenes_is_refused():
+    assert _outcome(lambda: pack_inputs([], THREE)) == (DataError, "a batch needs at least one scene")
+
+
 def test_arrays_that_convert_only_one_by_one_do_not_pack():
     scenes = _scenes((2, 6), 3, seed=4)
     scenes[1] = _replace_features(scenes[1], "static", scenes[1].features["static"].astype(str))

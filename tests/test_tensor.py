@@ -33,6 +33,7 @@ from groupact.tensor import (
     reshape,
     set_attention,
     softmax_rows,
+    stack,
     sum_all,
     transpose,
     weighted_cross_entropy,
@@ -566,3 +567,51 @@ def test_keep_freed_heap_without_a_loadable_libc_does_nothing(monkeypatch):
     tensor_module._keep_freed_heap()
     monkeypatch.delattr(tensor_module.os, "confstr")
     tensor_module._keep_freed_heap()
+
+
+def _zeros(*shape):
+    return Tensor(np.zeros(shape))
+
+
+# (call, error type, message) of refusals that no other test reaches
+_REFUSALS = [
+    (lambda: tensor_module.check_mode("eval"), UsageError,
+     "mode must be 'train' or 'infer', got 'eval'"),
+    (lambda: _zeros(2).item(), UsageError, "item() on tensor of size 2"),
+    (lambda: mul(_zeros(2), _zeros(3)), ShapeError, "mul: incompatible shapes (2,) and (3,)"),
+    (lambda: transpose(_zeros(2)), ShapeError, "transpose: need a 2-d tensor, got (2,)"),
+    (lambda: concat_last_dim([]), UsageError, "concat_last_dim: no tensors given"),
+    (lambda: stack([]), UsageError, "stack: no tensors given"),
+    (lambda: SetLayout([[1, 2]]), ShapeError,
+     "set sizes must be a non-empty 1-d sequence, got [[1, 2]]"),
+    (lambda: max_over_sets(_zeros(2)), ShapeError,
+     "max_over_sets: need a 2-d or grouped 3-d tensor, got (2,)"),
+    (lambda: max_over_set(_zeros(2, 2, 2)), ShapeError,
+     "max_over_set: need a 2-d tensor, got (2, 2, 2)"),
+    (lambda: set_attention(_zeros(2, 4), _zeros(3, 4), _zeros(2, 4)), ShapeError,
+     "set_attention: bad Q/K/V shapes (2, 4), (3, 4), (2, 4)"),
+    (lambda: set_attention(_zeros(2, 4), _zeros(2, 4), _zeros(3, 4)), ShapeError,
+     "set_attention: V shape (3, 4) does not match K (2, 4)"),
+    (lambda: softmax_rows(_zeros(2)), ShapeError,
+     "softmax_rows: need a 2-d or grouped 3-d tensor, got (2,)"),
+    (lambda: layer_norm(_zeros(2), _zeros(2), _zeros(2)), ShapeError,
+     "layer_norm: need a 2-d or grouped 3-d input, got (2,)"),
+    (lambda: layer_norm(_zeros(2, 4), _zeros(3), _zeros(3)), ShapeError,
+     "layer_norm: gain/bias must have shape (4,), got (3,) and (3,)"),
+    (lambda: cross_entropy(_zeros(3), [0, 1, 2]), ShapeError,
+     "cross_entropy: need (m, c) logits, got (3,)"),
+    (lambda: cross_entropy(_zeros(0, 3), []), EmptySetError, "cross_entropy: no rows"),
+    (lambda: cross_entropy(_zeros(2, 3), [0.0, 1.0]), DataError,
+     "cross_entropy: labels must be integers, got dtype float64"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", _REFUSALS,
+                         ids=["check-mode", "item", "mul", "transpose", "concat-empty",
+                              "stack-empty", "layout-2d", "max-over-sets-1d", "max-over-set-3d",
+                              "attention-qk", "attention-v", "softmax-1d", "layer-norm-1d",
+                              "layer-norm-gain", "ce-logits-1d", "ce-no-rows", "ce-float-labels"])
+def test_refusal_raises_its_error_and_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

@@ -95,6 +95,12 @@ def test_lr_schedule_steps():
     assert lr_at(three, 99999) == 1e-6
 
 
+def test_lr_at_refuses_a_negative_iteration():
+    with pytest.raises(UsageError) as info:
+        lr_at(((0, 0.01),), -1)
+    assert str(info.value) == "iteration must be >= 0, got -1"
+
+
 def test_joint_loss_uniform_logits():
     loss = joint_loss(_uniform_pred(), 3, [0, 4, 8])
     assert abs(loss.item() - LOG8_PLUS_LOG9) <= 1e-4
