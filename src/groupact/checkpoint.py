@@ -78,9 +78,11 @@ def save_model(path, model, *, iteration: int = 0, extra_tensors=()) -> None:
 
     extra_tensors names must not collide with model parameter names or with
     each other (the training loop namespaces optimizer slots under
-    'optim/'); a name used twice raises DataError before anything is
-    written, since load_model refuses such a file.
+    'optim/'); a name used twice, or a negative iteration, raises DataError
+    before anything is written, since load_model refuses such a file.
     """
+    if iteration < 0:
+        raise DataError(f"iteration must be >= 0, got {iteration}")
     meta = _meta(model, iteration)
     tensors = [(name, t.data) for name, t in model.parameters()] + list(extra_tensors)
     seen = set()
@@ -137,6 +139,8 @@ def load_model(path):
         else:
             raise ParseError(path, 0, f"unknown model kind {kind!r}")
         iteration = meta_decode("int", meta["iteration"])
+        if iteration < 0:
+            raise ValueError(f"iteration must be >= 0, got {iteration}")
     except KeyError as exc:
         raise ParseError(path, 0, f"checkpoint is missing metadata key {exc}") from None
     except (ValueError, ConfigError) as exc:

@@ -26,8 +26,14 @@ Tensor. A pass raises NumericsError when its input features or its logits
 are not finite. Late fusion's members share one config apart from
 feature_dim, and a pass runs them all as one grouped pass: each member
 embeds its own features, and the embeddings and the weights past them are
-stacked over the members (see tensor). Its outputs, attention, gradients
-and dropout masks are the bits of running the members one by one. Every
+stacked over the members (see tensor). Wrapping the members moves their
+weights into one array, a row per member, so an untaped pass reads the
+weights past the embedding in place, through (G, ...) views built once,
+while every member weight's .data is still the view it was given; a taped
+pass, or one after a weight was rebound, stacks them anew. Gradients stay
+where they are, and an optimizer built after wrapping updates the array in
+place (see training). Its outputs, attention, gradients and dropout masks
+are the bits of running the members one by one. Every
 branch reads the one packed centers array, so branches of one width share
 one position-code table per forward pass.
 """
@@ -354,14 +360,17 @@ def _forward(self, inputs: Mapping[str, BranchInput], mode=MODE_INFER, rng=None,
     return one_scene(self.forward_batch([scene], mode, rng, record_attention))
 
 
-def _stacked(members) -> SimpleNamespace:
+def _stacked(members, stacked=None) -> SimpleNamespace:
     """BranchWeights of one config apart from feature_dim as one object of the
-    same names, whose every weight past the embedding is stacked over the
-    members: the weights of late fusion's grouped pass."""
-    data = not recording()  # an untaped pass stacks the weights' arrays
+    same names, whose every weight past the embedding is stacked(tensors) of
+    that weight's tensors over the members: the weights of late fusion's
+    grouped pass. By default each weight is stacked anew, from its tensors on
+    a taped pass and from their arrays on an untaped one."""
+    if stacked is None:
+        data = not recording()
 
-    def stacked(tensors):
-        return stack([t.data for t in tensors] if data else tensors)
+        def stacked(tensors):
+            return stack([t.data for t in tensors] if data else tensors)
 
     def layer(layers):  # EncoderLayerWeights: per-head lists of tensors, and tensors
         out = SimpleNamespace()
@@ -512,6 +521,32 @@ class LateFusionModel:
                 raise ConfigError(f"fusion weight for {b!r} must be finite and positive, got {raw[b]}")
         total = sum(raw[b] for b in self.branches)
         self.weights = {b: raw[b] / total for b in self.branches}
+        self._hold([self.models[b].weights for b in self.branches])
+
+    def _hold(self, members):
+        """Move the members' parameters into one (G, P) array and keep the
+        grouped weights as views of it. Row g holds member g's parameters in
+        parameters() order, ending at the row's end, so every weight past the
+        embedding sits in the same columns of every row."""
+        runs = [[t for _, t in m.parameters()] for m in members]
+        values = [np.concatenate([t.data.ravel() for t in run]) for run in runs]
+        rows = np.zeros((len(runs), max(map(len, values))))
+        columns, self._held = {}, []  # columns: id of a row-0 tensor -> its first column
+        for row, run, vec in zip(rows, runs, values):
+            at = len(row) - len(vec)
+            row[at:] = vec
+            for t in run:
+                size = t.data.size
+                columns.setdefault(id(t), at)
+                t.data = row[at:at + size].reshape(t.data.shape)
+                self._held.append((t, t.data))
+                at += size
+
+        def viewed(tensors):  # one weight's columns of every row, as (G, ...)
+            at, shape = columns[id(tensors[0])], tensors[0].shape
+            return rows[:, at:at + math.prod(shape)].reshape((len(runs),) + shape)
+
+        self._grouped = _stacked(members, viewed)
 
     forward = _forward
 
@@ -520,7 +555,11 @@ class LateFusionModel:
         members = [self.models[b].weights for b in self.branches]
         feats, centers, sizes = pack_inputs(
             scenes, {b: m.cfg.feature_dim for b, m in zip(self.branches, members)})
-        w, codes = _stacked(members), {}
+        if recording() or not all(t.data is data for t, data in self._held):
+            w = _stacked(members)  # taped, or a weight was rebound since wrapping
+        else:
+            w = self._grouped  # the members' weights, read in place
+        codes = {}
         x = stack([_embedded(feats[b], centers, m, codes) for b, m in zip(self.branches, members)])
         layout = SetLayout.of(sizes * len(members), sum(sizes) * len(members))
         pred = checked(_read_out(x, w, layout, mode, rng, record_attention))

@@ -14,11 +14,15 @@ Row-wise ops need nothing more; set_attention and max_over_sets are the ops
 that work per set.
 
 A grouped pass runs G models of one shape side by side on the same batch:
-its rows are a (G, N, d) array, and each weight is stacked over the models
-into a (G, ...) tensor (see stack). matmul, add, layer_norm, softmax_rows
-and concat_last_dim work group by group; set_attention and max_over_sets
-see the G groups as G * B sets, so their layout is the batch's sizes tiled
-G times. Each group's values are the bits its model's own 2-d pass makes.
+its rows are a (G, N, d) array, and each weight is one (G, ...) operand
+over the models: stacked into a new tensor (see stack), or, on an untaped
+pass, a strided view of the columns of one array that holds the models'
+weights row by row. matmul, add, layer_norm, softmax_rows and
+concat_last_dim work group by group, on either form of weight alike (a
+batched matmul runs the same per-group product on a view as on a copy);
+set_attention and max_over_sets see the G groups as G * B sets, so their
+layout is the batch's sizes tiled G times. Each group's values are the bits
+its model's own 2-d pass makes.
 Late fusion runs its members as one grouped pass and mixes their class
 probabilities over the group axis with weighted_sum.
 

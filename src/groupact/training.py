@@ -5,7 +5,8 @@ with the action term averaged over the scene's actors; a batch averages the
 scene losses. Each step runs the minibatch as one packed forward pass, given
 the run's dropout Generator (encode draws its masks scene by scene), one loss
 node and one backward pass. Optimizers, SGD with momentum and Adam, follow a
-piecewise-constant lr schedule and update the parameters as one vector.
+piecewise-constant lr schedule and update the parameters as one vector;
+a step raises UsageError once a parameter no longer lies in that vector.
 """
 
 from __future__ import annotations
@@ -110,11 +111,31 @@ def joint_loss(pred: Prediction, activity_label, action_labels, lambda_g=1.0,
     return loss_terms(batch, [activity_label], np.asarray(action_labels), lambda_g, lambda_a)[0]
 
 
+def _run(arrays):
+    """The 1-d view of the one float64 array in which arrays, C-contiguous
+    views of it, lie back to back in their order; None if they do not."""
+    base = arrays[0].base
+    if not (isinstance(base, np.ndarray) and base.dtype == np.float64
+            and base.flags.c_contiguous):
+        return None
+    start = at = arrays[0].ctypes.data
+    for a in arrays:
+        if a.base is not base or a.ctypes.data != at or not a.flags.c_contiguous:
+            return None
+        at += a.nbytes
+    first = (start - base.ctypes.data) // 8
+    return base.reshape(-1)[first:first + (at - start) // 8]
+
+
 def _pack(params):
     """(data, grad, views): one float64 vector that every parameter's .data
     views, one for .grad, and views(vec), which splits such a vector into
-    per-parameter views. Parameters already packed in this order keep their
-    vectors, so every optimizer over them updates the same weights.
+    per-parameter views. Arrays that already lie back to back in this order
+    inside one larger array keep it, .data and .grad each on their own: the
+    vector is a view of that run. So every optimizer over the same
+    parameters, and a late fusion model that holds its members' weights in
+    one array, update the same weights. Any other arrays are copied into a
+    new vector and rebound to views of it.
     """
     tensors = [t for _, t in params]
     bounds = np.cumsum([0] + [t.size for t in tensors]).tolist()
@@ -122,16 +143,26 @@ def _pack(params):
     def views(vec):
         return [vec[a:b].reshape(t.shape) for a, b, t in zip(bounds, bounds[1:], tensors)]
 
-    data = tensors[0].data.base
-    if data is not None and data.size == bounds[-1] and all(
-            t.data.base is data and t.data.ctypes.data == data.ctypes.data + 8 * a
-            for t, a in zip(tensors, bounds)):
-        return data, tensors[0].grad.base, views
-    data = np.concatenate([t.data.ravel() for t in tensors])
-    grad = np.concatenate([t.grad.ravel() for t in tensors])
-    for t, d, g in zip(tensors, views(data), views(grad)):
-        t.data, t.grad = d, g
-    return data, grad, views
+    vectors = []
+    for slot in ("data", "grad"):
+        vec = _run([getattr(t, slot) for t in tensors])
+        if vec is None:
+            vec = np.concatenate([getattr(t, slot).ravel() for t in tensors])
+            for t, view in zip(tensors, views(vec)):
+                setattr(t, slot, view)
+        vectors.append(vec)
+    return vectors[0], vectors[1], views
+
+
+def _check_bound(bound) -> None:
+    """Raise UsageError if a parameter's .data or .grad is no longer the view
+    its optimizer packed: a step would update memory the model no longer reads.
+    bound: (name, tensor, .data, .grad) of each parameter, as packed."""
+    for name, t, data, grad in bound:
+        if t.data is not data or t.grad is not grad:
+            raise UsageError(f"parameter {name!r} moved since its optimizer was built: build "
+                             "an optimizer after any other optimizer over its parameters "
+                             "and after wrapping its model in late fusion")
 
 
 def _slots(slot: str, store: dict) -> list:
@@ -168,6 +199,7 @@ class SgdMomentum:
         names = [name for name, _ in params]
         self.momentum = momentum
         self._data, self._grad, views = _pack(params)
+        self._bound = [(name, t, t.data, t.grad) for name, t in params]
         self._v, self._tmp = np.zeros_like(self._data), np.empty_like(self._data)
         self.velocity = dict(zip(names, views(self._v)))
 
@@ -175,6 +207,7 @@ class SgdMomentum:
         self._grad.fill(0.0)
 
     def step(self, lr: float):
+        _check_bound(self._bound)
         self._v *= self.momentum
         self._v += self._grad
         self._data -= np.multiply(self._v, lr, out=self._tmp)
@@ -197,6 +230,7 @@ class Adam:
         names = [name for name, _ in params]
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self._data, self._grad, views = _pack(params)
+        self._bound = [(name, t, t.data, t.grad) for name, t in params]
         self._m, self._v = np.zeros_like(self._data), np.zeros_like(self._data)
         self._a, self._b = np.empty_like(self._data), np.empty_like(self._data)
         self.m = dict(zip(names, views(self._m)))
@@ -208,6 +242,7 @@ class Adam:
 
     def step(self, lr: float):
         # w -= lr * (m / c1) / (sqrt(v / c2) + eps), one elementwise op at a time
+        _check_bound(self._bound)
         self.count += 1
         c1 = 1.0 - self.beta1 ** self.count
         c2 = 1.0 - self.beta2 ** self.count

@@ -184,6 +184,22 @@ def _late(tmp_path):
     return path
 
 
+@pytest.mark.parametrize("build", [_branch, _late])
+def test_a_negative_iteration_is_neither_written_nor_loaded(tmp_path, build):
+    path = build(tmp_path)
+    model, _, _ = load_model(path)
+    refused = tmp_path / "negative.ckpt"
+    with pytest.raises(DataError, match="^iteration must be >= 0, got -3$"):
+        save_model(refused, model, iteration=-3)
+    assert not refused.exists()
+    meta, tensors = read_checkpoint(path)
+    meta["iteration"] = "-3"
+    write_checkpoint(path, meta, tensors)
+    message = "bad checkpoint metadata: iteration must be >= 0, got -3"
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:0: {message}$"):
+        load_model(path)
+
+
 # (model, metadata key, new value or None to delete the key)
 _BAD_METADATA = [
     (_branch, "cfg.d_model", "thirty"),

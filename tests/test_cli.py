@@ -297,6 +297,20 @@ def test_resume_from_a_checkpoint_with_other_metadata_keys_is_refused(tmp_path, 
     assert not (tmp_path / "tail").exists()
 
 
+def test_resume_from_a_checkpoint_at_a_negative_iteration_is_refused(tmp_path, capsys):
+    data = _generate(tmp_path)
+    path = _train(tmp_path, data, out="head", iters=5) / "model.ckpt"
+    meta, tensors = read_checkpoint(path)
+    meta["iteration"] = "-3"
+    write_checkpoint(path, meta, tensors)
+    capsys.readouterr()
+    assert main(_train_args(tmp_path, data, out="tail", iters=10, resume=path)) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {path}:0: bad checkpoint metadata: iteration must be >= 0, "
+                   "got -3\n")
+    assert not (tmp_path / "tail").exists()
+
+
 def test_resume_past_total_iterations_is_refused(tmp_path, capsys):
     data = _generate(tmp_path)
     head = _train(tmp_path, data, out="head", iters=10)

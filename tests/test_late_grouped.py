@@ -4,7 +4,9 @@ LateFusionModel's members share a config apart from feature_dim, and it
 runs them all as one pass over a leading group axis. These tests
 hold it to the members' own passes, mixed by the same ops (see
 test_batching._member_mix), byte for byte: outputs, attention records,
-dropout masks and gradients.
+dropout masks and gradients, also after training steps and rebound
+weights, where an untaped pass reads the members' weights in place or
+stacks them anew.
 """
 
 from types import SimpleNamespace
@@ -12,6 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from groupact import model as model_module
 from groupact.errors import ConfigError, NumericsError, ShapeError
 from groupact.model import BranchConfig, BranchModel, LateFusionModel, Prediction
 from groupact.tensor import (
@@ -30,7 +33,7 @@ from groupact.tensor import (
     sum_all,
     weighted_sum,
 )
-from groupact.training import loss_terms
+from groupact.training import Adam, SgdMomentum, loss_terms
 
 from helpers import check_gradients
 from test_batching import RAGGED, _member_mix, _records
@@ -206,3 +209,58 @@ def test_grouped_ops_match_their_2d_ops_per_group_and_gradcheck():
         weighted_sum(stack(xs), [1.0])
     with pytest.raises(ShapeError):
         add(stack(xs), bs[0])
+
+
+def _stack_calls(monkeypatch):
+    """A list that gets one entry per stack call the model module makes."""
+    calls = []
+
+    def counted(parts):
+        calls.append(len(parts))
+        return stack(parts)
+
+    monkeypatch.setattr(model_module, "stack", counted)
+    return calls
+
+
+def _step(member, optimizer, batch, rng, lr=0.05):
+    """One training step of member on batch, with labels drawn from rng."""
+    activities = rng.integers(4, size=len(batch))
+    actions = rng.integers(3, size=sum(len(s.centers) for s in batch))
+    optimizer.zero_grads()
+    with Graph(MODE_TRAIN):
+        loss_terms(member.forward_batch(batch, MODE_TRAIN), activities, actions)[0].backward()
+    optimizer.step(lr)
+
+
+def test_steps_of_optimizers_built_after_wrapping_are_read_in_place(monkeypatch):
+    model = _model(THREE, np.random.default_rng(18), num_heads=2)
+    batch = _batch(np.random.default_rng(19), RAGGED, THREE)
+    before = model.forward_batch(batch, MODE_INFER).action_logits.data.copy()
+    labels = np.random.default_rng(20)
+    for b, make in zip(model.branches, (SgdMomentum, Adam, SgdMomentum)):
+        member = model.models[b]
+        _step(member, make(member.parameters()), batch, labels)
+    calls = _stack_calls(monkeypatch)
+    after = model.forward_batch(batch, MODE_INFER)
+    assert calls == [3]  # the embedded rows only: the weights are read where they lie
+    assert not _same_bits(after.action_logits.data, before)
+    _assert_matches_members(model, batch, RAGGED)
+
+
+def test_a_weight_rebound_after_wrapping_is_stacked_anew(monkeypatch):
+    model = _model(THREE, np.random.default_rng(21))
+    batch = _batch(np.random.default_rng(22), RAGGED, THREE)
+    before = model.forward_batch(batch, MODE_INFER).activity_logits.data.copy()
+    t = model.models["b"].weights.encoder.layers[1].ff1_w
+    t.data = t.data.copy()
+    t.data[0, :] += 0.5  # only the rebound copy holds this
+    calls = _stack_calls(monkeypatch)
+    after = model.forward_batch(batch, MODE_INFER)
+    assert len(calls) > 1
+    assert not _same_bits(after.activity_logits.data, before)
+    _assert_matches_members(model, batch, RAGGED)
+    # an optimizer built now packs the rebound weight, and its step is read too
+    member = model.models["b"]
+    _step(member, Adam(member.parameters()), batch, np.random.default_rng(23))
+    _assert_matches_members(model, batch, RAGGED)

@@ -29,6 +29,7 @@ from groupact.training import (
     LossCurve,
     SgdMomentum,
     TrainConfig,
+    _pack,
     _SceneStream,
     joint_loss,
     lr_at,
@@ -482,6 +483,73 @@ def test_second_optimizer_over_the_same_parameters_updates_them():
     before = [t.data.copy() for _, t in params]
     train(model, _easy_dataset(8).scenes, TrainConfig(total_iterations=1, batch_size=4))
     assert any((t.data != old).any() for (_, t), old in zip(params, before))
+
+
+_OPTIMIZERS = [SgdMomentum, Adam]
+
+
+@pytest.mark.parametrize("make", _OPTIMIZERS, ids=["sgd", "adam"])
+def test_step_refuses_parameters_another_optimizer_repacked(make):
+    model = _model(33)
+    params = model.parameters()
+    first = make(params)
+    make(list(reversed(params)))  # another order: copies and rebinds every parameter
+    for _, t in params:
+        t.grad[...] = 1.0
+    before = [t.data.copy() for _, t in params]
+    with pytest.raises(UsageError, match="^parameter 'embed_w' moved since its optimizer"):
+        first.step(0.1)
+    for (name, t), old in zip(params, before):
+        npt.assert_array_equal(t.data, old, err_msg=name)
+
+
+@pytest.mark.parametrize("make", _OPTIMIZERS, ids=["sgd", "adam"])
+def test_step_refuses_parameters_that_late_fusion_moved(make):
+    members = {b: BranchModel(b, _model().cfg, rng_for(34 + i, "init"))
+               for i, b in enumerate("ab")}
+    early = make(members["a"].parameters())
+    LateFusionModel(members, {"a": 1.0, "b": 1.0})
+    with pytest.raises(UsageError, match="^parameter 'embed_w' moved since its optimizer"):
+        early.step(0.1)
+    late = make(members["a"].parameters())  # built after wrapping, it steps
+    late.step(0.1)
+
+
+def _param(data, grad):
+    t = Tensor(np.zeros(data.shape), requires_grad=True)
+    t.data, t.grad = data, grad
+    return t
+
+
+def test_pack_keeps_runs_inside_larger_arrays_and_copies_the_rest():
+    weights, grads = np.arange(20.0), np.zeros(30)
+    # .data back to back inside a larger array, .grad in two arrays of their own
+    a = _param(weights[5:11].reshape(2, 3), np.zeros((2, 3)))
+    b = _param(weights[11:15], np.zeros(4))
+    own = b.grad
+    data, grad, views = _pack([("a", a), ("b", b)])
+    assert np.shares_memory(data, weights) and data.shape == (10,)
+    assert a.data.base is weights and b.data.base is weights
+    data += 100.0
+    npt.assert_array_equal(weights[5:15], np.arange(5.0, 15.0) + 100.0)
+    assert b.grad is not own and np.shares_memory(b.grad, grad)
+    assert [v.shape for v in views(grad)] == [(2, 3), (4,)]
+    # .grad back to back inside a larger array, .data out of order: only .data moves
+    free = np.arange(10.0)
+    c = _param(free[6:10], grads[3:7])
+    d = _param(free[:6].reshape(2, 3), grads[7:13].reshape(2, 3))
+    data, grad, _ = _pack([("c", c), ("d", d)])
+    assert not np.shares_memory(data, free)
+    npt.assert_array_equal(data, np.r_[6.0:10.0, 0.0:6.0])
+    assert c.data.base is data and d.data.base is data
+    assert np.shares_memory(grad, grads) and grad.shape == (10,)
+    assert c.grad.base is grads and d.grad.base is grads
+    # a gap between two arrays is no run
+    e = _param(weights[0:2], np.zeros(2))
+    f = _param(weights[3:5], np.zeros(2))
+    data, _, _ = _pack([("e", e), ("f", f)])
+    assert not np.shares_memory(data, weights)
+    npt.assert_array_equal(data, [0.0, 1.0, 3.0, 4.0])
 
 
 # One warm-up step (first-use costs of numpy and the tape), then 30 steps of

@@ -20,6 +20,9 @@ then run one fixed list of CLI scenarios, each tree from its own `src/`:
 - the late fusion workload config with scenes of 1-3 actors: generate,
   train, evaluate and attention-dump, so that one-actor scenes put a
   one-row matrix product into each member group's pass;
+- the late fusion workload config with 2 heads and 2 layers: generate,
+  train, evaluate and attention-dump, so that the per-head weight lists of
+  every layer of the grouped pass are compared;
 - the quick start with two branches under early-concat fusion, position
   codes added after fusing: generate, train, evaluate, attention-dump, and
   an ablate grid over fusion (early-sum, early-concat, late), position
@@ -141,14 +144,17 @@ def _scenarios():
     out.append(("large-scenes", _set(QUICKSTART, n_actors="300-600", scene_count="12") + data,
                 [("generate", "", None, "data")]))
     late = WORKLOADS["io-late-fusion"]
-    out.append(("late-tiny", _set(late.config, n_actors="1-3") + data
-                + f"scene_count = {late.cli_scenes}\ntrain_fraction = 0.75\n"
-                f"total_iterations = {late.cli_iterations}\nseed = 0\n", [
-                    ("generate", "", None, "data"),
-                    ("train", "", None, "run"),
-                    ("evaluate", "", "run", "run/eval"),
-                    ("attention-dump", "", "run", "attention"),
-                ]))
+    late_run = (data + f"scene_count = {late.cli_scenes}\ntrain_fraction = 0.75\n"
+                f"total_iterations = {late.cli_iterations}\nseed = 0\n")
+    late_steps = [
+        ("generate", "", None, "data"),
+        ("train", "", None, "run"),
+        ("evaluate", "", "run", "run/eval"),
+        ("attention-dump", "", "run", "attention"),
+    ]
+    out.append(("late-tiny", _set(late.config, n_actors="1-3") + late_run, late_steps))
+    out.append(("late-heads", _set(late.config, num_heads="2", num_layers="2") + late_run,
+                late_steps))
     small = _set(QUICKSTART, scene_count="60") + data
     two = _set(small, branches="static:16, dynamic-rgb:12") + "fusion = early-concat\n"
     out.append(("early-fusion", two, [
