@@ -93,8 +93,9 @@ def save_model(path, model, *, iteration: int = 0, extra_tensors=()) -> None:
     write_checkpoint(path, meta, tensors)
 
 
-def _restore_parameters(model, stored: dict, path):
-    for name, t in model.parameters():
+def _restore_parameters(params, stored: dict, path):
+    """Bind each (name, tensor)'s .data to the array read for it: no copy."""
+    for name, t in params:
         if name not in stored:
             raise ParseError(path, 0, f"checkpoint is missing tensor {name!r}")
         arr = stored[name]
@@ -102,7 +103,7 @@ def _restore_parameters(model, stored: dict, path):
             raise ParseError(
                 path, 0, f"tensor {name!r} has shape {arr.shape}, expected {t.data.shape}"
             )
-        t.data[...] = arr
+        t.data = arr
 
 
 def load_model(path):
@@ -117,7 +118,8 @@ def load_model(path):
         raise ParseError(path, 0, f"tensor {bad!r} holds a non-finite value")
     kind = meta.get("kind")
     # Models built with no rng hold zeros of the right shapes (not a throwaway
-    # init draw); every value is overwritten below.
+    # init draw); every weight is then bound to its stored array. A late
+    # model's members are restored before the wrap, which copies them once.
     try:
         if kind == "branch":
             model = BranchModel(meta["branch"], _cfg_from_meta("cfg.", meta), None)
@@ -134,6 +136,9 @@ def load_model(path):
         elif kind == "late":
             branches = meta["branches"].split(",")
             models = {b: BranchModel(b, _cfg_from_meta(f"cfg.{b}.", meta), None) for b in branches}
+            for b, m in models.items():
+                _restore_parameters([(f"branch/{b}/{name}", t) for name, t in m.parameters()],
+                                    stored, path)
             weights = {b: meta_decode("float", meta[f"late_weight.{b}"]) for b in branches}
             model = LateFusionModel(models, weights)
         else:
@@ -149,7 +154,8 @@ def load_model(path):
     unknown = [key for key in meta if key not in written]
     if unknown:
         raise ParseError(path, 0, f"checkpoint has unknown metadata key {unknown[0]!r}")
-    _restore_parameters(model, stored, path)
+    if kind != "late":
+        _restore_parameters(model.parameters(), stored, path)
     param_names = {name for name, _ in model.parameters()}
     extras = {name: arr for name, arr in stored.items() if name not in param_names}
     return model, iteration, extras

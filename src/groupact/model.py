@@ -25,17 +25,16 @@ wrapped as Tensors; a recording pass hands its first op the features as a
 Tensor. A pass raises NumericsError when its input features or its logits
 are not finite. Late fusion's members share one config apart from
 feature_dim, and a pass runs them all as one grouped pass: each member
-embeds its own features, and the embeddings and the weights past them are
-stacked over the members (see tensor). Wrapping the members moves their
-weights into one array, a row per member, so an untaped pass reads the
-weights past the embedding in place, through (G, ...) views built once,
-while every member weight's .data is still the view it was given; a taped
-pass, or one after a weight was rebound, stacks them anew. Gradients stay
-where they are, and an optimizer built after wrapping updates the array in
-place (see training). Its outputs, attention, gradients and dropout masks
-are the bits of running the members one by one. Every
-branch reads the one packed centers array, so branches of one width share
-one position-code table per forward pass.
+embeds its own features, and the embeddings are stacked over the members
+(see tensor). Wrapping the members moves their weights and gradients into
+two arrays, a row per member, so every pass, taped or not, reads the weights
+past the embedding in place, through (G, ...) views built once, and
+backward adds into the members' own gradients. A member weight whose .data
+or .grad was rebound since is refused; an optimizer built after wrapping
+updates the arrays in place (see training). The pass's outputs, attention,
+gradients and dropout masks are the bits of running the members one by one.
+Every branch reads the one packed centers array, so branches of one width
+share one position-code table per forward pass.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericsError, ShapeError
+from .errors import ConfigError, DataError, NumericsError, ShapeError, UsageError
 from .posenc import apply_pe
 from .tensor import (
     MODE_INFER,
@@ -303,7 +302,7 @@ class BranchWeights:
 def _read_out(x: Tensor, w, layout: SetLayout, mode, rng, record_attention) -> Prediction:
     """Every model's read-out of embedded actor rows x, position codes already
     added: w's encoder (if any), the action head per row and the activity head
-    per set max. w: a BranchWeights, the _stacked weights of a grouped pass or
+    per set max. w: a BranchWeights, such as late fusion's grouped weights, or
     an EarlyFusionModel."""
     rec = None
     if w.encoder is not None:
@@ -358,34 +357,6 @@ def _forward(self, inputs: Mapping[str, BranchInput], mode=MODE_INFER, rng=None,
     scene = SimpleNamespace(features={b: inp.features for b, inp in inputs.items()},
                             centers=centers)
     return one_scene(self.forward_batch([scene], mode, rng, record_attention))
-
-
-def _stacked(members, stacked=None) -> SimpleNamespace:
-    """BranchWeights of one config apart from feature_dim as one object of the
-    same names, whose every weight past the embedding is stacked(tensors) of
-    that weight's tensors over the members: the weights of late fusion's
-    grouped pass. By default each weight is stacked anew, from its tensors on
-    a taped pass and from their arrays on an untaped one."""
-    if stacked is None:
-        data = not recording()
-
-        def stacked(tensors):
-            return stack([t.data for t in tensors] if data else tensors)
-
-    def layer(layers):  # EncoderLayerWeights: per-head lists of tensors, and tensors
-        out = SimpleNamespace()
-        for name, first in vars(layers[0]).items():
-            parts = [vars(w)[name] for w in layers]
-            setattr(out, name, [stacked(heads) for heads in zip(*parts)]
-                    if isinstance(first, list) else stacked(parts))
-        return out
-
-    first = members[0]
-    encoder = None if first.encoder is None else SimpleNamespace(
-        cfg=first.encoder.cfg, layers=list(map(layer, zip(*(m.encoder.layers for m in members)))))
-    return SimpleNamespace(cfg=first.cfg, encoder=encoder,
-                           action_w=stacked([m.action_w for m in members]),
-                           activity_w=stacked([m.activity_w for m in members]))
 
 
 class BranchModel:
@@ -521,48 +492,60 @@ class LateFusionModel:
                 raise ConfigError(f"fusion weight for {b!r} must be finite and positive, got {raw[b]}")
         total = sum(raw[b] for b in self.branches)
         self.weights = {b: raw[b] / total for b in self.branches}
-        self._hold([self.models[b].weights for b in self.branches])
+        runs = [self.models[b].parameters() for b in self.branches]
+        owners = {}
+        for b, run in zip(self.branches, runs):
+            for name, t in run:
+                owner = owners.setdefault(id(t), b)
+                if owner != b:
+                    raise ConfigError(f"branches {owner!r} and {b!r} share the weight {name!r}; "
+                                      "each branch needs a model of its own")
+        self._hold(runs)
 
-    def _hold(self, members):
-        """Move the members' parameters into one (G, P) array and keep the
-        grouped weights as views of it. Row g holds member g's parameters in
-        parameters() order, ending at the row's end, so every weight past the
-        embedding sits in the same columns of every row."""
-        runs = [[t for _, t in m.parameters()] for m in members]
-        values = [np.concatenate([t.data.ravel() for t in run]) for run in runs]
-        rows = np.zeros((len(runs), max(map(len, values))))
-        columns, self._held = {}, []  # columns: id of a row-0 tensor -> its first column
-        for row, run, vec in zip(rows, runs, values):
-            at = len(row) - len(vec)
-            row[at:] = vec
-            for t in run:
-                size = t.data.size
-                columns.setdefault(id(t), at)
-                t.data = row[at:at + size].reshape(t.data.shape)
-                self._held.append((t, t.data))
-                at += size
-
-        def viewed(tensors):  # one weight's columns of every row, as (G, ...)
-            at, shape = columns[id(tensors[0])], tensors[0].shape
-            return rows[:, at:at + math.prod(shape)].reshape((len(runs),) + shape)
-
-        self._grouped = _stacked(members, viewed)
+    def _hold(self, runs):
+        """Move the members' parameters, .data and .grad alike, into two (G, P)
+        arrays. Row g holds member g's parameters in parameters() order,
+        ending at the row's end, so every weight past the embedding sits in the
+        same columns of every row. The grouped weights are one BranchWeights
+        whose tensors past the embedding view those columns of both arrays as
+        (G, ...), and which embeds nothing: each member embeds its own rows.
+        runs: each member's parameters(), in branch order."""
+        width = max(sum(t.size for _, t in run) for run in runs)
+        data, grad = np.zeros((len(runs), width)), np.zeros((len(runs), width))
+        self._held = []  # (branch, name, tensor, .data, .grad) as wrapped
+        for b, run, data_row, grad_row in zip(self.branches, runs, data, grad):
+            at = width - sum(t.size for _, t in run)
+            np.concatenate([t.data.ravel() for _, t in run], out=data_row[at:])
+            np.concatenate([t.grad.ravel() for _, t in run], out=grad_row[at:])
+            for name, t in run:
+                shape, end = t.shape, at + t.size
+                t.data, t.grad = data_row[at:end].reshape(shape), grad_row[at:end].reshape(shape)
+                self._held.append((b, name, t, t.data, t.grad))
+                at = end
+        self._grouped = BranchWeights(self.models[self.branches[0]].cfg, None)
+        grouped = self._grouped.parameters()[2:]  # past embed_w and embed_b
+        at = width - sum(t.size for _, t in grouped)
+        for _, t in grouped:
+            shape, end = (len(runs),) + t.shape, at + t.size
+            t.data, t.grad = data[:, at:end].reshape(shape), grad[:, at:end].reshape(shape)
+            at = end
+        self._grouped.embed_w = self._grouped.embed_b = None
 
     forward = _forward
 
     def forward_batch(self, scenes: Sequence, mode=MODE_INFER, rng=None,
                       record_attention=False) -> Prediction:
+        for b, name, t, data, grad in self._held:
+            if t.data is not data or t.grad is not grad:
+                raise UsageError(f"branch {b!r}: parameter {name!r} was rebound since its "
+                                 "model was wrapped in late fusion")
         members = [self.models[b].weights for b in self.branches]
         feats, centers, sizes = pack_inputs(
             scenes, {b: m.cfg.feature_dim for b, m in zip(self.branches, members)})
-        if recording() or not all(t.data is data for t, data in self._held):
-            w = _stacked(members)  # taped, or a weight was rebound since wrapping
-        else:
-            w = self._grouped  # the members' weights, read in place
         codes = {}
         x = stack([_embedded(feats[b], centers, m, codes) for b, m in zip(self.branches, members)])
         layout = SetLayout.of(sizes * len(members), sum(sizes) * len(members))
-        pred = checked(_read_out(x, w, layout, mode, rng, record_attention))
+        pred = checked(_read_out(x, self._grouped, layout, mode, rng, record_attention))
         mix = [self.weights[b] for b in self.branches]
         action_mix = weighted_sum(softmax_rows(unbox(pred.action_logits)), mix)
         activity_mix = weighted_sum(softmax_rows(unbox(pred.activity_logits)), mix)

@@ -14,15 +14,15 @@ Row-wise ops need nothing more; set_attention and max_over_sets are the ops
 that work per set.
 
 A grouped pass runs G models of one shape side by side on the same batch:
-its rows are a (G, N, d) array, and each weight is one (G, ...) operand
-over the models: stacked into a new tensor (see stack), or, on an untaped
-pass, a strided view of the columns of one array that holds the models'
-weights row by row. matmul, add, layer_norm, softmax_rows and
-concat_last_dim work group by group, on either form of weight alike (a
-batched matmul runs the same per-group product on a view as on a copy);
-set_attention and max_over_sets see the G groups as G * B sets, so their
-layout is the batch's sizes tiled G times. Each group's values are the bits
-its model's own 2-d pass makes.
+its rows are a (G, N, d) array (see stack), and each weight is one (G, ...)
+tensor over the models, a strided view of the columns of one array that
+holds the models' weights row by row, whose .grad views another such array
+of their gradients, so backward adds each group's gradient into its model's
+own. matmul, add, layer_norm, softmax_rows and concat_last_dim work group by
+group (a batched matmul runs the same per-group product on a view as on a
+copy); set_attention and max_over_sets see the G groups as G * B sets, so
+their layout is the batch's sizes tiled G times. Each group's values are
+the bits its model's own 2-d pass makes.
 Late fusion runs its members as one grouped pass and mixes their class
 probabilities over the group axis with weighted_sum.
 
@@ -398,8 +398,8 @@ def concat_last_dim(parts) -> Tensor:
 
 def stack(parts) -> Tensor:
     """G same-shape tensors as one (G, ...) tensor, part i at index i: the
-    members' weights or rows of a grouped pass. Backward gives each part its
-    slice of the gradient."""
+    rows of a grouped pass. Backward gives each part its slice of the
+    gradient."""
     arrays, tape = _operands(*parts)
     if not arrays:
         raise UsageError("stack: no tensors given")

@@ -133,9 +133,9 @@ def _pack(params):
     per-parameter views. Arrays that already lie back to back in this order
     inside one larger array keep it, .data and .grad each on their own: the
     vector is a view of that run. So every optimizer over the same
-    parameters, and a late fusion model that holds its members' weights in
-    one array, update the same weights. Any other arrays are copied into a
-    new vector and rebound to views of it.
+    parameters, and a late fusion model that holds its members' weights and
+    gradients in two arrays, read and update the same memory. Any other
+    arrays are copied into a new vector and rebound to views of it.
     """
     tensors = [t for _, t in params]
     bounds = np.cumsum([0] + [t.size for t in tensors]).tolist()

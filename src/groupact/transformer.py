@@ -9,8 +9,8 @@ The encoder runs on packed actor sets: s holds the actors of several scenes
 row after row, and the optional sizes argument (a sequence of per-scene
 actor counts, or a SetLayout) keeps attention inside each scene. Without
 sizes, the rows are one scene. A grouped (G, N, d_model) s runs G encoders
-of one config side by side, each layer's weights stacked over them (see
-tensor.stack); its sizes are the scenes' sizes tiled G times.
+of one config side by side, each layer's weights (G, ...) tensors over them
+(see tensor); its sizes are the scenes' sizes tiled G times.
 """
 
 from __future__ import annotations

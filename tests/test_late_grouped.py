@@ -4,9 +4,8 @@ LateFusionModel's members share a config apart from feature_dim, and it
 runs them all as one pass over a leading group axis. These tests
 hold it to the members' own passes, mixed by the same ops (see
 test_batching._member_mix), byte for byte: outputs, attention records,
-dropout masks and gradients, also after training steps and rebound
-weights, where an untaped pass reads the members' weights in place or
-stacks them anew.
+dropout masks and gradients, also after training steps, where every pass
+reads the members' weights and adds to their gradients in place.
 """
 
 from types import SimpleNamespace
@@ -15,7 +14,7 @@ import numpy as np
 import pytest
 
 from groupact import model as model_module
-from groupact.errors import ConfigError, NumericsError, ShapeError
+from groupact.errors import ConfigError, NumericsError, ShapeError, UsageError
 from groupact.model import BranchConfig, BranchModel, LateFusionModel, Prediction
 from groupact.tensor import (
     MODE_INFER,
@@ -128,7 +127,7 @@ def _grads(params, loss_fn):
 
 
 @pytest.mark.parametrize("kw", [dict(), dict(pe_stage="pre-embed", dropout=0.1)])
-def test_taped_gradients_match_the_members_and_take_fewer_nodes(kw):
+def test_taped_gradients_match_the_members_and_take_fewer_nodes(kw, monkeypatch):
     model = _model(THREE, np.random.default_rng(11), **kw)
     batch = _batch(np.random.default_rng(12), RAGGED, THREE)
     labels = np.random.default_rng(13)
@@ -145,7 +144,9 @@ def test_taped_gradients_match_the_members_and_take_fewer_nodes(kw):
         pred = Prediction(action_mix, activity_mix, sizes=RAGGED)
         return loss_terms(pred, activities, actions)[0]
 
+    calls = _stack_calls(monkeypatch)
     loss_g, grads_g, nodes_g = _grads(model.parameters(), grouped)
+    assert calls == [3]  # the embedded rows only: the taped pass reads the weights in place
     loss_m, grads_m, nodes_m = _grads(model.parameters(), members)
     assert loss_g == loss_m
     assert grads_g.keys() == grads_m.keys()
@@ -248,19 +249,53 @@ def test_steps_of_optimizers_built_after_wrapping_are_read_in_place(monkeypatch)
     _assert_matches_members(model, batch, RAGGED)
 
 
-def test_a_weight_rebound_after_wrapping_is_stacked_anew(monkeypatch):
+@pytest.mark.parametrize("slot", ["data", "grad"])
+def test_a_weight_rebound_after_wrapping_is_refused(slot):
     model = _model(THREE, np.random.default_rng(21))
     batch = _batch(np.random.default_rng(22), RAGGED, THREE)
-    before = model.forward_batch(batch, MODE_INFER).activity_logits.data.copy()
     t = model.models["b"].weights.encoder.layers[1].ff1_w
-    t.data = t.data.copy()
-    t.data[0, :] += 0.5  # only the rebound copy holds this
-    calls = _stack_calls(monkeypatch)
-    after = model.forward_batch(batch, MODE_INFER)
-    assert len(calls) > 1
-    assert not _same_bits(after.activity_logits.data, before)
-    _assert_matches_members(model, batch, RAGGED)
-    # an optimizer built now packs the rebound weight, and its step is read too
-    member = model.models["b"]
-    _step(member, Adam(member.parameters()), batch, np.random.default_rng(23))
-    _assert_matches_members(model, batch, RAGGED)
+    setattr(t, slot, getattr(t, slot).copy())  # the grouped pass no longer reads it
+    message = ("branch 'b': parameter 'enc/layer1/ff1_w' was rebound since its model was "
+               "wrapped in late fusion")
+    with pytest.raises(UsageError) as err:
+        model.forward_batch(batch, MODE_INFER)
+    assert str(err.value) == message
+    with pytest.raises(UsageError), Graph(MODE_TRAIN):
+        model.forward_batch(batch, MODE_TRAIN)
+    # the member alone still runs on its own weights
+    model.models["b"].forward_batch(batch, MODE_INFER)
+
+
+def test_a_gradient_accumulated_before_wrapping_survives_it():
+    rng = np.random.default_rng(24)
+    members = {b: BranchModel(b, _cfg(f), rng) for b, f in THREE.items()}
+    batch = _batch(np.random.default_rng(25), RAGGED, THREE)
+    labels = np.random.default_rng(26)
+    for member in members.values():
+        activities = labels.integers(4, size=len(RAGGED))
+        actions = labels.integers(3, size=sum(RAGGED))
+        with Graph(MODE_TRAIN):
+            loss_terms(member.forward_batch(batch, MODE_TRAIN), activities, actions)[0].backward()
+    before = {(b, name): (t.data.copy(), t.grad.copy())
+              for b, m in members.items() for name, t in m.parameters()}
+    assert all(np.abs(grad).max() > 0 for _, grad in before.values())
+    model = LateFusionModel(members, {b: 1.0 for b in THREE})
+    for b, member in model.models.items():
+        for name, t in member.parameters():
+            data, grad = before[b, name]
+            assert _same_bits(t.data, data) and _same_bits(t.grad, grad), (b, name)
+
+
+@pytest.mark.parametrize("shared", ["model", "tensor"])
+def test_one_member_under_two_branch_names_is_refused(shared):
+    rng = np.random.default_rng(27)
+    members = {b: BranchModel(b, _cfg(f), rng) for b, f in TWO.items()}
+    if shared == "model":
+        members["b"] = members["a"]
+        message = "branches 'a' and 'b' share the weight 'embed_w'"
+    else:
+        members["b"].weights.action_w = members["a"].weights.action_w
+        message = "branches 'a' and 'b' share the weight 'action_w'"
+    with pytest.raises(ConfigError) as err:
+        LateFusionModel(members, {"a": 1.0, "b": 1.0})
+    assert str(err.value) == message + "; each branch needs a model of its own"

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from groupact.errors import ConfigError, ShapeError
-from groupact.model import BranchConfig, BranchWeights, _stacked
+from groupact.model import BranchConfig, BranchModel, LateFusionModel
 from groupact.tensor import MODE_INFER, MODE_TRAIN, Tensor, mul, sum_all
 from groupact.transformer import (
     AttentionRecord,
@@ -228,7 +228,10 @@ def test_encode_draws_a_generators_masks_set_by_set():
     do. Either way the Generator ends where those draws leave it."""
     cfg = BranchConfig(feature_dim=4, num_actions=2, num_activities=2, d_model=8, num_heads=2,
                        num_layers=2, d_ff=16, dropout=0.3)
-    members = [BranchWeights(cfg, _rng(27 + g)) for g in range(2)]
+    late = LateFusionModel({b: BranchModel(b, cfg, _rng(27 + g)) for g, b in enumerate("ab")},
+                           {"a": 1.0, "b": 1.0})
+    members = [late.models[b].weights for b in late.branches]
+    grouped = late._grouped.encoder  # the members' encoder weights as (2, ...) views
     sizes = (3, 1, 5)
     s = _rng(29).standard_normal((2, sum(sizes), 8))
 
@@ -239,9 +242,9 @@ def test_encode_draws_a_generators_masks_set_by_set():
     assert gen.bit_generator.state == ref.bit_generator.state
 
     gen, ref = _rng(31), _rng(31)
-    got, _ = encode(s, _stacked(members).encoder, MODE_TRAIN, gen, sizes=sizes * 2)
+    got, _ = encode(s, grouped, MODE_TRAIN, gen, sizes=sizes * 2)
     want = [encode(x, m.encoder, MODE_TRAIN, ref, sizes=sizes)[0] for x, m in zip(s, members)]
     assert got.tobytes() == np.stack(want).tobytes()
     assert gen.bit_generator.state == ref.bit_generator.state
-    inference, _ = encode(s, _stacked(members).encoder, MODE_INFER, sizes=sizes * 2)
+    inference, _ = encode(s, grouped, MODE_INFER, sizes=sizes * 2)
     assert np.abs(inference - got).max() > 1e-6
